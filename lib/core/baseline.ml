@@ -31,27 +31,7 @@ let run ?(config = Config.default) ?(route_io = false) ?(flow_name = "ba")
          flow_name)
       synthesize
   in
-  let delays =
-    List.filter_map
-      (fun (task : Mfb_route.Routed.task) ->
-        if task.kind = Mfb_route.Routed.Transport && task.delay > 0. then
-          Some (task.transport.Mfb_schedule.Types.edge, task.delay)
-        else None)
-      routing.tasks
-  in
-  (* A dispense that had to arrive late pushes its operation's start. *)
-  let op_delays =
-    List.filter_map
-      (fun (task : Mfb_route.Routed.task) ->
-        if task.kind = Mfb_route.Routed.Dispense && task.delay > 0. then
-          Some (fst task.transport.Mfb_schedule.Types.edge, task.delay)
-        else None)
-      routing.tasks
-  in
-  let final_sched =
-    if delays = [] && op_delays = [] then sched
-    else Mfb_schedule.Retime.with_transport_delays ~op_delays sched ~delays
-  in
+  let final_sched = Mfb_route.Routed.retime sched routing in
   Result.of_stages
     ~benchmark:(Mfb_bioassay.Seq_graph.name graph)
     ~flow:flow_name

@@ -39,10 +39,30 @@ let to_json cfg =
       ("exact_fuel", J.Int cfg.exact_fuel);
     ]
 
+let max_tc = 1e6
+
+let max_sa_restarts = 1024
+
+let max_exact_fuel = 100_000_000
+
 let validate cfg =
+  let finite name v =
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Config: %s must be finite" name)
+  in
+  finite "tc" cfg.tc;
+  finite "we" cfg.we;
+  finite "beta" cfg.beta;
+  finite "gamma" cfg.gamma;
   if cfg.tc <= 0. then invalid_arg "Config: tc must be positive";
+  if cfg.tc > max_tc then
+    invalid_arg (Printf.sprintf "Config: tc must be <= %g" max_tc);
   if cfg.we < 0. then invalid_arg "Config: we must be non-negative";
   if cfg.beta < 0. || cfg.gamma < 0. then
     invalid_arg "Config: beta and gamma must be non-negative";
-  if cfg.sa_restarts < 1 then invalid_arg "Config: sa_restarts must be >= 1";
-  if cfg.exact_fuel < 1 then invalid_arg "Config: exact_fuel must be >= 1"
+  if cfg.sa_restarts < 1 || cfg.sa_restarts > max_sa_restarts then
+    invalid_arg
+      (Printf.sprintf "Config: sa_restarts must be in 1..%d" max_sa_restarts);
+  if cfg.exact_fuel < 1 || cfg.exact_fuel > max_exact_fuel then
+    invalid_arg
+      (Printf.sprintf "Config: exact_fuel must be in 1..%d" max_exact_fuel)

@@ -22,8 +22,22 @@ type t = {
 
 val default : t
 
+val max_tc : float
+(** Largest accepted [tc] (s): low enough that schedule sums over any
+    assay stay finite. *)
+
+val max_sa_restarts : int
+(** Largest accepted [sa_restarts], so one request cannot ask for
+    unbounded annealing work. *)
+
+val max_exact_fuel : int
+(** Largest accepted [exact_fuel]. *)
+
 val validate : t -> unit
-(** @raise Invalid_argument when a parameter is out of range. *)
+(** Rejects non-finite [tc], [we], [beta] or [gamma], [tc] outside
+    (0, {!max_tc}], negative [we], [beta] or [gamma], and [sa_restarts]
+    or [exact_fuel] outside [1 .. max].
+    @raise Invalid_argument when a parameter is out of range. *)
 
 val to_json : t -> Mfb_util.Json.t
 (** Stable field-by-field rendering (annealing schedule nested under

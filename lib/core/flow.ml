@@ -43,28 +43,13 @@ let run ?(config = Config.default) ?(scheduler = `Dcsa)
      portfolio backend when the config asks for one. *)
   let sched, decision =
     timed "schedule" (fun () ->
-        match config.backend with
-        | Mfb_schedule.Portfolio.Heuristic ->
-          ( (match scheduler with
-            | `Dcsa ->
-              Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.tc graph
-                allocation
-            | `Earliest_ready ->
-              Mfb_schedule.Baseline_scheduler.schedule ~tc:config.tc graph
-                allocation),
-            None )
-        | Mfb_schedule.Portfolio.Exact ->
-          let sched, decision =
-            Mfb_schedule.Portfolio.exact ~fuel:config.exact_fuel
-              ~tc:config.tc graph allocation
-          in
-          (sched, Some decision)
-        | Mfb_schedule.Portfolio.Portfolio ->
-          let sched, decision =
-            Mfb_schedule.Portfolio.race ~fuel:config.exact_fuel ~jobs
-              ~tc:config.tc graph allocation
-          in
-          (sched, Some decision))
+        let heuristic =
+          match scheduler with
+          | `Dcsa -> Mfb_schedule.Dcsa_scheduler.schedule
+          | `Earliest_ready -> Mfb_schedule.Baseline_scheduler.schedule
+        in
+        Mfb_schedule.Portfolio.schedule ~heuristic ~fuel:config.exact_fuel
+          ~jobs ~tc:config.tc config.backend graph allocation)
   in
   (* Stage 2: placement (paper Alg. 2, lines 1-8). *)
   let nets = Mfb_place.Net.of_schedule sched in
@@ -104,27 +89,7 @@ let run ?(config = Config.default) ?(scheduler = `Dcsa)
         (List.length sched.transports)
         routing.unresolved routing.total_channel_length_mm);
   (* Any routing postponements flow back into the schedule. *)
-  let delays =
-    List.filter_map
-      (fun (task : Mfb_route.Routed.task) ->
-        if task.kind = Mfb_route.Routed.Transport && task.delay > 0. then
-          Some (task.transport.Mfb_schedule.Types.edge, task.delay)
-        else None)
-      routing.tasks
-  in
-  (* A dispense that had to arrive late pushes its operation's start. *)
-  let op_delays =
-    List.filter_map
-      (fun (task : Mfb_route.Routed.task) ->
-        if task.kind = Mfb_route.Routed.Dispense && task.delay > 0. then
-          Some (fst task.transport.Mfb_schedule.Types.edge, task.delay)
-        else None)
-      routing.tasks
-  in
-  let final_sched =
-    if delays = [] && op_delays = [] then sched
-    else Mfb_schedule.Retime.with_transport_delays ~op_delays sched ~delays
-  in
+  let final_sched = Mfb_route.Routed.retime sched routing in
   (final_sched, chip, routing, decision)
   in
   (* The whole run executes under a telemetry scope, so the metrics

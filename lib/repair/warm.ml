@@ -18,7 +18,6 @@
 
 module Types = Mfb_schedule.Types
 module Check = Mfb_schedule.Check
-module Retime = Mfb_schedule.Retime
 module Portfolio = Mfb_schedule.Portfolio
 module Chip = Mfb_place.Chip
 module Routed = Mfb_route.Routed
@@ -35,25 +34,6 @@ type report = {
 
 let no_defect (_ : int * int) = false
 
-(* The schedule stage, verbatim from the cold flow (always [jobs = 1]:
-   warm starts already run inside a server pool task, and pools never
-   nest). *)
-let schedule_stage ~(config : Mfb_core.Config.t) graph allocation =
-  match config.backend with
-  | Portfolio.Heuristic ->
-    (Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.tc graph allocation, None)
-  | Portfolio.Exact ->
-    let sched, decision =
-      Portfolio.exact ~fuel:config.exact_fuel ~tc:config.tc graph allocation
-    in
-    (sched, Some decision)
-  | Portfolio.Portfolio ->
-    let sched, decision =
-      Portfolio.race ~fuel:config.exact_fuel ~jobs:1 ~tc:config.tc graph
-        allocation
-    in
-    (sched, Some decision)
-
 exception Cold of string
 
 let synthesize ~(config : Mfb_core.Config.t)
@@ -63,7 +43,12 @@ let synthesize ~(config : Mfb_core.Config.t)
   let started_cpu = Sys.time () in
   try
     Telemetry.span ~cat:"warm" "warm" @@ fun () ->
-    let sched, decision = schedule_stage ~config graph allocation in
+    (* The cold flow's schedule stage, at [jobs = 1]: warm starts
+       already run inside a server pool task, and pools never nest. *)
+    let sched, decision =
+      Portfolio.schedule ~fuel:config.exact_fuel ~tc config.backend graph
+        allocation
+    in
     (* The cached placement can only seed this schedule when both talk
        about the same component array (ids, kinds, dimensions). *)
     if sched.Types.components <> cached.chip.Chip.components then
@@ -145,17 +130,7 @@ let synthesize ~(config : Mfb_core.Config.t)
     let routing = Routed.finalize grid rev_tasks ~unresolved:0 in
     (* Postponements feed back into the schedule exactly as the cold
        flow does. *)
-    let delays =
-      List.filter_map
-        (fun (task : Routed.task) ->
-          if task.delay > 0. then Some (task.transport.Types.edge, task.delay)
-          else None)
-        routing.tasks
-    in
-    let final_sched =
-      if delays = [] then sched
-      else Retime.with_transport_delays sched ~delays
-    in
+    let final_sched = Routed.retime sched routing in
     (* Proof obligations: the warm result must be legal, and within the
        quality delta of what the cold flow could have produced. *)
     (match Check.validate ~tc final_sched with

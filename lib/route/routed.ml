@@ -123,3 +123,22 @@ let finalize grid tasks ~unresolved =
     total_delay = List.fold_left (fun acc t -> acc +. t.delay) 0. tasks;
     unresolved;
   }
+
+let retime sched r =
+  let delays =
+    List.filter_map
+      (fun t ->
+        if t.kind = Transport && t.delay > 0. then
+          Some (t.transport.Mfb_schedule.Types.edge, t.delay)
+        else None)
+      r.tasks
+  and op_delays =
+    List.filter_map
+      (fun t ->
+        if t.kind = Dispense && t.delay > 0. then
+          Some (fst t.transport.Mfb_schedule.Types.edge, t.delay)
+        else None)
+      r.tasks
+  in
+  if delays = [] && op_delays = [] then sched
+  else Mfb_schedule.Retime.with_transport_delays ~op_delays sched ~delays

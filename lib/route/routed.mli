@@ -83,3 +83,9 @@ val settle_delay :
     found within the iteration budget. *)
 
 val finalize : Rgrid.t -> task list -> unresolved:int -> result
+
+val retime : Mfb_schedule.Types.t -> result -> Mfb_schedule.Types.t
+(** Feed routing postponements back into the schedule: each delayed
+    transport stretches its edge and each late dispense pushes its
+    operation's start ({!Mfb_schedule.Retime.with_transport_delays});
+    the schedule is returned unchanged when nothing was delayed. *)

@@ -116,3 +116,14 @@ let race ?(fuel = Exact.default_fuel) ?(jobs = 1) ~tc graph allocation =
       heuristic_makespan = heur.makespan;
       makespan = sched.makespan;
     } )
+
+let schedule ?(heuristic = Dcsa_scheduler.schedule) ?fuel ?jobs ~tc backend
+    graph allocation =
+  match backend with
+  | Heuristic -> (heuristic ~tc graph allocation, None)
+  | Exact ->
+    let sched, decision = exact ?fuel ~tc graph allocation in
+    (sched, Some decision)
+  | Portfolio ->
+    let sched, decision = race ?fuel ?jobs ~tc graph allocation in
+    (sched, Some decision)

@@ -63,3 +63,18 @@ val race :
     same result).  Deterministic first-finisher selection as described
     above; the exact arm is seeded with the heuristic, so the portfolio
     never returns a schedule worse than either arm. *)
+
+val schedule :
+  ?heuristic:
+    (tc:float -> Mfb_bioassay.Seq_graph.t -> Mfb_component.Allocation.t ->
+     Types.t) ->
+  ?fuel:int ->
+  ?jobs:int ->
+  tc:float ->
+  backend ->
+  Mfb_bioassay.Seq_graph.t ->
+  Mfb_component.Allocation.t ->
+  Types.t * decision option
+(** The flow's schedule stage: [heuristic] (default
+    {!Dcsa_scheduler.schedule}) for [Heuristic], with no decision;
+    {!exact} or {!race} otherwise. *)

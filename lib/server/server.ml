@@ -78,21 +78,227 @@ type req_info = {
   submit_wall : float;
 }
 
+(* --- batch synthesis --- *)
+
+let synthesize job =
+  match job.flow with
+  | `Ours ->
+    Mfb_core.Flow.run ~config:job.config ~jobs:1 job.graph job.allocation
+  | `Ba -> Mfb_core.Baseline.run ~config:job.config job.graph job.allocation
+
+let run_job_full ?trace job =
+  match trace with
+  | None -> synthesize job
+  | Some args ->
+    Telemetry.span ~cat:"serve" ~args "request" (fun () -> synthesize job)
+
+let summary_of full = Mfb_core.Result.(summary_to_json (summarize full))
+
+let run_job ?trace job = summary_of (run_job_full ?trace job)
+
+(* How a batch computed one of its unique jobs. *)
+type path =
+  | Cold
+  | Fallback  (* cold, after a failed warm-start attempt *)
+  | Near of float  (* warm-started; latency in clock units *)
+
+(* One Prometheus sample with its HELP and TYPE lines. *)
+let prom_metric buf kind name help v =
+  Buffer.add_string buf
+    (Printf.sprintf "# HELP %s %s\n# TYPE %s %s\n%s %d\n" name help name kind
+       name v)
+
+(* --- the result store ---
+
+   Every reuse path reads one store with three tiers, all keyed by
+   {!Cache_key}:
+   - exact: summary payloads, answering repeats byte-identically;
+   - full: full results retained from in-process runs, the warm-start
+     seeds of repairs and near-hits.  A miss re-synthesizes the job cold
+     with the same config at [jobs = 1], byte-identical to its original
+     run, so cache temperature changes latency, never bytes;
+   - near: the similarity index over computed jobs.  It holds resolved
+     jobs, never results, and a candidate's seed resolves through
+     [full] — so warm-start decisions and payloads are a pure function
+     of the request script on every transport.
+   [record] fills every tier after a compute; [tiers] lists the
+   exported series once for stats, Prometheus and shutdown totals. *)
+module Store = struct
+  type t = {
+    exact : (Cache_key.t, Json.t) Lru.t option;
+    full : (Cache_key.t, Mfb_core.Result.t) Lru.t option;
+    near : job Sim_index.t option;
+    h_near : Histogram.t;  (* warm-start latency, clock units *)
+    h_repair : Histogram.t;  (* repair latency, clock units *)
+    mutable near_hits : int;
+    mutable fallbacks : int;
+    mutable repairs : int;
+    mutable repairs_warm : int;
+  }
+
+  let create cfg =
+    let lru name capacity =
+      if capacity = 0 then None else Some (Lru.create ~name ~capacity ())
+    in
+    {
+      exact = lru "results" cfg.cache_capacity;
+      full = lru "full-results" cfg.repair_cache;
+      near =
+        (if cfg.similarity then
+           Some
+             (Sim_index.create
+                ~capacity:(max 16 cfg.cache_capacity)
+                ~threshold:cfg.sim_threshold ())
+         else None);
+      h_near = Histogram.create ();
+      h_repair = Histogram.create ();
+      near_hits = 0;
+      fallbacks = 0;
+      repairs = 0;
+      repairs_warm = 0;
+    }
+
+  (* Counted lookup: a hit or a miss, and the entry becomes most recent. *)
+  let exact s key = Option.bind s.exact (fun c -> Lru.find c key)
+
+  (* The job's full result and whether it was still retained. *)
+  let full s (job : job) =
+    match Option.bind s.full (fun c -> Lru.find c job.key) with
+    | Some r -> (r, true)
+    | None ->
+      let r = synthesize job in
+      Option.iter (fun c -> Lru.add c job.key r) s.full;
+      (r, false)
+
+  let fingerprint s (job : job) =
+    match s.near with
+    | Some _ when job.flow = `Ours ->
+      Some
+        (Sim_index.fingerprint ~flow:"ours" ~config:job.config
+           ~graph:job.graph ~allocation:job.allocation ())
+    | _ -> None
+
+  (* The nearest computed job's full result, and whether it was still
+     retained, when one lies within the similarity threshold. *)
+  let near s (job : job) fp =
+    match s.near with
+    | None -> None
+    | Some sim ->
+      Option.map
+        (fun (_, seed, _) -> full s seed)
+        (Sim_index.nearest sim job.key fp)
+
+  let record s (job : job) ?fp ~path payload full =
+    Option.iter (fun c -> Lru.add c job.key payload) s.exact;
+    (match (s.full, full) with
+     | Some c, Some r -> Lru.add c job.key r
+     | _ -> ());
+    (match (s.near, fp) with
+     | Some sim, Some fp -> Sim_index.add sim job.key fp job
+     | _ -> ());
+    match path with
+    | Cold -> ()
+    | Fallback ->
+      s.fallbacks <- s.fallbacks + 1;
+      Telemetry.incr ~cat:"serve" "warm.fallbacks"
+    | Near latency ->
+      s.near_hits <- s.near_hits + 1;
+      Telemetry.incr ~cat:"serve" "near.hits";
+      Histogram.add s.h_near latency
+
+  let repaired s ~warm latency =
+    s.repairs <- s.repairs + 1;
+    if warm then s.repairs_warm <- s.repairs_warm + 1;
+    Histogram.add s.h_repair latency
+
+  type value = Counter of int | Gauge of int | Dist of Histogram.t
+
+  (* One exported series: its stats field, and its Prometheus name and
+     help unless the field is stats-only. *)
+  type series = { field : string; prom : (string * string) option;
+                  value : value }
+
+  (* [(section, series)] per tier in stats order, [None] while the tier
+     is off or unused: near and repair appear only once used, so
+     transcripts that never touch them keep their bytes. *)
+  let tiers s =
+    let series ?prom field value = { field; prom; value } in
+    let exact =
+      Option.map
+        (fun c ->
+          let st = Lru.stats c in
+          [ series "capacity" (Gauge (Lru.capacity c));
+            series "entries" (Gauge (Lru.length c))
+              ~prom:("dcsa_cache_entries", "live result cache entries");
+            series "hits" (Counter st.hits)
+              ~prom:("dcsa_cache_hits_total", "result cache hits");
+            series "misses" (Counter st.misses)
+              ~prom:("dcsa_cache_misses_total", "result cache misses");
+            series "evictions" (Counter st.evictions)
+              ~prom:("dcsa_cache_evictions_total", "result cache evictions") ])
+        s.exact
+    in
+    let near =
+      if s.near_hits + s.fallbacks = 0 then None
+      else
+        Some
+          [ series "hits" (Counter s.near_hits)
+              ~prom:
+                ( "dcsa_near_hits_total",
+                  "submissions answered by a warm start from a similar \
+                   cached solution" );
+            series "fallbacks" (Counter s.fallbacks)
+              ~prom:
+                ( "dcsa_warm_fallbacks_total",
+                  "warm-start attempts that fell back to cold synthesis" );
+            series "latency" (Dist s.h_near)
+              ~prom:
+                ( "dcsa_warm_latency",
+                  "warm-start latency (ticks, or ms in wall mode)" ) ]
+    in
+    let repair =
+      if s.repairs = 0 then None
+      else
+        Some
+          [ series "total" (Counter s.repairs)
+              ~prom:("dcsa_repairs_total", "repair requests answered");
+            series "warm" (Counter s.repairs_warm)
+              ~prom:
+                ( "dcsa_repairs_warm_total",
+                  "repairs warm-started from a retained full result" );
+            series "latency" (Dist s.h_repair)
+              ~prom:
+                ( "dcsa_repair_latency",
+                  "repair latency (ticks, or ms in wall mode)" ) ]
+    in
+    [ ("cache", exact); ("near", near); ("repair", repair) ]
+
+  let to_json ?(counters_only = false) ss =
+    Json.Obj
+      (List.filter_map
+         (fun r ->
+           match r.value with
+           | Counter v -> Some (r.field, Json.Int v)
+           | Gauge v when not counters_only -> Some (r.field, Json.Int v)
+           | Dist h when not counters_only ->
+             Some (r.field, Histogram.snapshot_json h)
+           | Gauge _ | Dist _ -> None)
+         ss)
+
+  let to_prometheus buf ss =
+    List.iter
+      (fun r ->
+        match (r.prom, r.value) with
+        | None, _ -> ()
+        | Some (name, help), Counter v -> prom_metric buf "counter" name help v
+        | Some (name, help), Gauge v -> prom_metric buf "gauge" name help v
+        | Some (name, help), Dist h -> Histogram.prometheus ~help ~name buf h)
+      ss
+end
+
 type t = {
   cfg : config;
-  cache : (Cache_key.t, Json.t) Lru.t option;
-  (* Full [Mfb_core.Result.t]s retained from in-process batch runs so a
-     later repair request can warm-start instead of re-synthesizing.
-     Small and separate from the summary cache: a full result holds the
-     routed grid and schedule, not just scalar metrics. *)
-  full : (Cache_key.t, Mfb_core.Result.t) Lru.t option;
-  (* Similarity index over previously computed jobs.  Entries hold the
-     resolved *job*, never its result: on a near-hit the candidate's
-     full result is looked up in [full] and, when evicted, re-derived
-     cold — deterministically byte-identical to the original run — so
-     warm-start decisions and payloads are a pure function of the
-     request script whatever the cache temperature or dispatch mode. *)
-  sim : job Sim_index.t option;
+  store : Store.t;
   specs : (string, job) Hashtbl.t;  (* accepted id -> resolved job *)
   queue : job Job_queue.t;
   outcomes : (string, outcome) Hashtbl.t;
@@ -100,16 +306,10 @@ type t = {
   req_info : (string, req_info) Hashtbl.t;
   h_latency : Histogram.t;    (* total request latency, clock units *)
   h_queue_wait : Histogram.t; (* queue wait in virtual ticks *)
-  h_repair : Histogram.t;     (* repair latency, clock units *)
-  h_warm : Histogram.t;       (* warm-start latency, clock units *)
   mutable next_rid : int;
   mutable tick : int;
   mutable submitted : int;
   mutable computed : int;
-  mutable near_hits : int;
-  mutable warm_fallbacks : int;
-  mutable repairs : int;
-  mutable repairs_warm : int;
   mutable shed_deadline : int;
   mutable shed_displaced : int;
   mutable rejected : int;
@@ -126,20 +326,7 @@ let create cfg =
   if cfg.warm_delta < 0. then invalid_arg "Server.create: warm_delta < 0";
   {
     cfg;
-    cache =
-      (if cfg.cache_capacity = 0 then None
-       else Some (Lru.create ~name:"results" ~capacity:cfg.cache_capacity ()));
-    full =
-      (if cfg.repair_cache = 0 then None
-       else
-         Some (Lru.create ~name:"full-results" ~capacity:cfg.repair_cache ()));
-    sim =
-      (if not cfg.similarity then None
-       else
-         Some
-           (Sim_index.create
-              ~capacity:(max 16 cfg.cache_capacity)
-              ~threshold:cfg.sim_threshold ()));
+    store = Store.create cfg;
     specs = Hashtbl.create 64;
     queue = Job_queue.create ~depth:cfg.queue_depth ();
     outcomes = Hashtbl.create 64;
@@ -147,16 +334,10 @@ let create cfg =
     req_info = Hashtbl.create 64;
     h_latency = Histogram.create ();
     h_queue_wait = Histogram.create ();
-    h_repair = Histogram.create ();
-    h_warm = Histogram.create ();
     next_rid = 0;
     tick = 0;
     submitted = 0;
     computed = 0;
-    near_hits = 0;
-    warm_fallbacks = 0;
-    repairs = 0;
-    repairs_warm = 0;
     shed_deadline = 0;
     shed_displaced = 0;
     rejected = 0;
@@ -227,51 +408,17 @@ let resolve ~base ~flow ~overrides spec =
   let key = Cache_key.make ~flow:flow_name ~config ~graph ~allocation () in
   Ok { key; graph; allocation; config; flow; spec; overrides }
 
-let resolve_job t ~flow ~overrides spec =
-  resolve ~base:t.cfg.flow_config ~flow ~overrides spec
-
-(* --- batch execution --- *)
-
-let synthesize job =
-  match job.flow with
-  | `Ours ->
-    Mfb_core.Flow.run ~config:job.config ~jobs:1 job.graph job.allocation
-  | `Ba -> Mfb_core.Baseline.run ~config:job.config job.graph job.allocation
-
-let run_job_full ?trace job =
-  match trace with
-  | None -> synthesize job
-  | Some args ->
-    Telemetry.span ~cat:"serve" ~args "request" (fun () -> synthesize job)
-
-let run_job ?trace job =
-  Mfb_core.Result.(summary_to_json (summarize (run_job_full ?trace job)))
-
-(* Find-or-resynthesize a job's retained full result (warm-start seed
-   for repairs and near-hits).  The cold branch re-runs with the same
-   config and [jobs = 1], so it is byte-identical to the original batch
-   run — cache temperature can only change latency, never bytes. *)
-let full_result_of t (job : job) =
-  match t.full with
-  | None -> (synthesize job, false)
-  | Some c ->
-    (match Lru.find c job.key with
-     | Some r -> (r, true)
-     | None ->
-       let r = synthesize job in
-       Lru.add c job.key r;
-       (r, false))
-
 (* --- request observability ---
 
    Every submission is assigned a deterministic request id and ends in
-   exactly one of the outcomes {hit, done, shed, rejected}.  At that
-   point the server builds one span-tree [node] for the request — queue
+   exactly one of the outcomes {hit, done, near-hit, shed, rejected};
+   every repair in {repair, repair-cold, rejected}.  At that point
+   [finish_request] builds one span-tree [node] for the request — queue
    wait and compute phases as children, worker-side spans (when a fleet
    shipped them back) grafted under the compute phase — and feeds it to
    all three consumers: the telemetry sink (one subtrack per request),
    the access log (one JSONL record, plus the span tree for slow
-   requests), and the latency/queue-wait histograms. *)
+   requests), and the latency histogram. *)
 
 let next_rid t =
   t.next_rid <- t.next_rid + 1;
@@ -281,116 +428,133 @@ let key_prefix key =
   let hex = Cache_key.to_hex key in
   if String.length hex > 8 then String.sub hex 0 8 else hex
 
-let backend_name (job : job) =
-  Mfb_schedule.Portfolio.backend_to_string job.config.backend
-
 let latency_units t (info : req_info) ~total_ticks =
   match t.cfg.clock with
   | `Virtual -> float_of_int total_ticks
   | `Wall -> (Unix.gettimeofday () -. info.submit_wall) *. 1000.0
 
-let request_node ~rid ~id ~key ~backend ~outcome ?reason ?batch ?fleet
-    ~queue_ticks ~compute_ticks ~worker_spans () =
+let request_node ~args ~queue_ticks ~compute_ticks ~worker_spans =
   let open Telemetry in
-  let args =
-    [ ("rid", Str rid); ("id", Str id); ("key", Str key);
-      ("backend", Str backend); ("outcome", Str outcome) ]
-    @ (match reason with None -> [] | Some r -> [ ("reason", Str r) ])
-    @ (match batch with None -> [] | Some b -> [ ("batch", Int b) ])
-    @ (match fleet with
-       | None -> []
-       | Some (slot, retries) ->
-         [ ("slot", Int slot); ("retries", Int retries) ])
-  in
-  let children =
-    (if queue_ticks > 0 || compute_ticks > 0 then
-       [ { n_name = "queue.wait"; n_cat = "serve"; n_args = [];
-           n_dur_us = float_of_int queue_ticks; n_children = [] } ]
-     else [])
-    @ (if compute_ticks > 0 then
-         [ { n_name = "compute"; n_cat = "serve"; n_args = [];
-             n_dur_us = float_of_int compute_ticks;
-             n_children = worker_spans } ]
-       else [])
+  let phase name dur children =
+    { n_name = name; n_cat = "serve"; n_args = []; n_dur_us = float_of_int dur;
+      n_children = children }
   in
   {
     n_name = "request";
     n_cat = "serve";
     n_args = args;
     n_dur_us = float_of_int (queue_ticks + compute_ticks);
-    n_children = children;
+    n_children =
+      (if queue_ticks > 0 || compute_ticks > 0 then
+         [ phase "queue.wait" queue_ticks [] ]
+       else [])
+      @ (if compute_ticks > 0 then
+           [ phase "compute" compute_ticks worker_spans ]
+         else []);
   }
 
-(* One JSONL record with a fixed field order, so [cmp] can prove the log
-   is a pure function of the request script.  Fleet attribution rides in
-   a trailing optional subobject that identity checks strip. *)
-let access_fields ~rid ~id ~key ~backend ~outcome ?reason ?batch ?fleet
-    ?spans ~queue_ticks ~compute_ticks () =
-  [ ("rid", Json.String rid); ("id", Json.String id);
-    ("key", Json.String key); ("backend", Json.String backend);
-    ("outcome", Json.String outcome) ]
-  @ (match reason with None -> [] | Some r -> [ ("reason", Json.String r) ])
-  @ [ ("queue_ticks", Json.Int queue_ticks);
-      ("compute_ticks", Json.Int compute_ticks);
-      ("total_ticks", Json.Int (queue_ticks + compute_ticks)) ]
-  @ (match batch with None -> [] | Some b -> [ ("batch", Json.Int b) ])
-  @ (match fleet with
-     | None -> []
-     | Some (slot, retries) ->
-       [ ( "fleet",
-           Json.Obj [ ("slot", Json.Int slot); ("retries", Json.Int retries) ]
-         ) ])
-  @ (match spans with None -> [] | Some s -> [ ("spans", s) ])
-
-let finish_request t ~rid ~id ~key ~backend ~outcome ?reason ?batch ?fleet
-    ~queue_ticks ~compute_ticks ~worker_spans ~latency () =
+(* The one writer of access-log records.  Fixed field order, so [cmp]
+   can prove the log is a pure function of the request script; fleet
+   attribution rides in a trailing optional subobject that identity
+   checks strip. *)
+let finish_request t ~rid ~id ?job ~outcome ?reason ?batch ?fleet
+    ?(queue_ticks = 0) ?(compute_ticks = 0) ?(worker_spans = []) ?latency
+    () =
+  let key, backend =
+    match job with
+    | None -> ("-", "-")
+    | Some (job : job) ->
+      ( key_prefix job.key,
+        Mfb_schedule.Portfolio.backend_to_string job.config.backend )
+  in
+  let opt name f = Option.fold ~none:[] ~some:(fun v -> [ (name, f v) ]) in
   let node =
-    request_node ~rid ~id ~key ~backend ~outcome ?reason ?batch ?fleet
-      ~queue_ticks ~compute_ticks ~worker_spans ()
+    let open Telemetry in
+    request_node ~queue_ticks ~compute_ticks ~worker_spans
+      ~args:
+        ([ ("rid", Str rid); ("id", Str id); ("key", Str key);
+           ("backend", Str backend); ("outcome", Str outcome) ]
+         @ opt "reason" (fun r -> Str r) reason
+         @ opt "batch" (fun b -> Int b) batch
+         @ Option.fold ~none:[]
+             ~some:(fun (slot, retries) ->
+               [ ("slot", Int slot); ("retries", Int retries) ])
+             fleet)
   in
   if Telemetry.active () then
     Telemetry.on_subtrack (Telemetry.subtrack rid) (fun () ->
         Telemetry.emit_node node);
-  (match latency with
-   | None -> ()
-   | Some l -> Histogram.add t.h_latency l);
-  (match t.cfg.access_log with
-   | None -> ()
-   | Some oc ->
-     let slow =
-       match (t.cfg.slow_threshold, latency) with
-       | Some thr, Some l -> l >= thr
-       | _ -> false
-     in
-     let spans =
-       if slow then Some (Json.List [ Telemetry.node_to_json node ])
-       else None
-     in
-     let fields =
-       access_fields ~rid ~id ~key ~backend ~outcome ?reason ?batch ?fleet
-         ?spans ~queue_ticks ~compute_ticks ()
-     in
-     output_string oc (Json.to_string (Json.Obj fields));
-     output_char oc '\n';
-     flush oc);
-  Hashtbl.remove t.req_info id
+  Option.iter (Histogram.add t.h_latency) latency;
+  Option.iter
+    (fun oc ->
+      let slow =
+        match (t.cfg.slow_threshold, latency) with
+        | Some thr, Some l -> l >= thr
+        | _ -> false
+      in
+      let fields =
+        [ ("rid", Json.String rid); ("id", Json.String id);
+          ("key", Json.String key); ("backend", Json.String backend);
+          ("outcome", Json.String outcome) ]
+        @ opt "reason" (fun r -> Json.String r) reason
+        @ [ ("queue_ticks", Json.Int queue_ticks);
+            ("compute_ticks", Json.Int compute_ticks);
+            ("total_ticks", Json.Int (queue_ticks + compute_ticks)) ]
+        @ opt "batch" (fun b -> Json.Int b) batch
+        @ opt "fleet"
+            (fun (slot, retries) ->
+              Json.Obj
+                [ ("slot", Json.Int slot); ("retries", Json.Int retries) ])
+            fleet
+        @ (if slow then [ ("spans", Json.List [ Telemetry.node_to_json node ]) ]
+           else [])
+      in
+      output_string oc (Json.to_string (Json.Obj fields));
+      output_char oc '\n';
+      flush oc)
+    t.cfg.access_log
 
 let req_info_of t id =
   match Hashtbl.find_opt t.req_info id with
   | Some info -> info
   | None -> { rid = "-"; submit_tick = t.tick; submit_wall = 0.0 }
 
-(* One virtual tick: shed expired jobs, then run up to [batch] jobs in
-   dispatch order — identical keys computed once, results recorded and
-   cached in dispatch order so every counter and payload is a pure
-   function of the request sequence. *)
-let process_batch t =
+(* An admitted request's bookkeeping, released at its outcome. *)
+let take_info t id =
+  let info = req_info_of t id in
+  Hashtbl.remove t.req_info id;
+  info
+
+let shed t (it : job Job_queue.item) ~why ~reason ~queue_ticks ?batch () =
+  Hashtbl.replace t.outcomes it.id (Shed reason);
+  let info = take_info t it.id in
+  finish_request t ~rid:info.rid ~id:it.id ~job:it.payload ~outcome:"shed"
+    ~reason:why ?batch ~queue_ticks ()
+
+(* --- batch execution: admit -> resolve -> compute -> publish ---
+
+   One virtual tick runs up to [batch] jobs in dispatch order.  Identical
+   keys compute once, and the store is filled and every outcome published
+   in dispatch order, so every counter and payload is a pure function of
+   the request sequence. *)
+
+(* One unique job's answer, from compute to publish. *)
+type computed = {
+  item : job Job_queue.item;  (* the request that computed it *)
+  fp : Sim_index.fp option;  (* its similarity fingerprint *)
+  payload : Json.t;
+  full : Mfb_core.Result.t option;  (* retained for warm starts *)
+  fleet : (int * int) option;  (* fleet slot and retries *)
+  spans : Telemetry.node list;  (* worker-side span forest *)
+  path : path;
+}
+
+let queue_wait t (it : job Job_queue.item) = max 0 (t.tick - it.submitted - 1)
+
+(* Admit: advance the clock, pop a batch, and shed the expired jobs. *)
+let admit t =
   t.tick <- t.tick + 1;
   Telemetry.incr ~cat:"serve" "batches";
-  let batch_tick = t.tick in
-  let queue_wait (it : job Job_queue.item) =
-    max 0 (batch_tick - it.submitted - 1)
-  in
   let dispatched, dead =
     Job_queue.pop_batch t.queue ~now:t.tick ~max:t.cfg.batch
   in
@@ -398,349 +562,219 @@ let process_batch t =
     (fun (it : job Job_queue.item) ->
       t.shed_deadline <- t.shed_deadline + 1;
       Telemetry.incr ~cat:"serve" "shed.deadline";
-      Hashtbl.replace t.outcomes it.id
-        (Shed
-           (Printf.sprintf
-              "deadline exceeded: submitted at tick %d with deadline %d, \
-               dispatch attempted at tick %d"
-              it.submitted
-              (Option.value it.deadline ~default:0)
-              t.tick));
-      let info = req_info_of t it.id in
-      let qw = queue_wait it in
+      let qw = queue_wait t it in
       Histogram.add t.h_queue_wait (float_of_int qw);
-      finish_request t ~rid:info.rid ~id:it.id
-        ~key:(key_prefix it.payload.key) ~backend:(backend_name it.payload)
-        ~outcome:"shed" ~reason:"deadline" ~batch:batch_tick ~queue_ticks:qw
-        ~compute_ticks:0 ~worker_spans:[] ~latency:None ())
+      shed t it ~why:"deadline" ~batch:t.tick ~queue_ticks:qw
+        ~reason:
+          (Printf.sprintf
+             "deadline exceeded: submitted at tick %d with deadline %d, \
+              dispatch attempted at tick %d"
+             it.submitted
+             (Option.value it.deadline ~default:0)
+             t.tick)
+        ())
     dead;
-  (* Keys neither cached nor already seen in this batch run once. *)
-  let seen = Hashtbl.create 8 in
-  let unique =
-    List.filter
-      (fun (it : job Job_queue.item) ->
-        let key = it.payload.key in
-        let cached =
-          match t.cache with Some c -> Lru.mem c key | None -> false
-        in
-        if cached || Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      dispatched
+  dispatched
+
+(* Resolve: keep the first request of each key — a batch always holds
+   the whole queue, so no key in it was stored before — and give each
+   job its fingerprint and, when a near-matching job was computed
+   before, that job's full result as a warm-start seed (found, or
+   re-synthesized cold on the server thread). *)
+let resolve_batch t dispatched =
+  let same (a : job Job_queue.item) (b : job Job_queue.item) =
+    a.payload.key = b.payload.key
   in
-  (* Similarity pass: look for a near-matching cached solution for each
-     unique job and try to warm-start from it.  Candidate full results
-     resolve on the server thread — [full_result_of] touches the LRUs
-     and re-synthesizes cold on eviction, keeping the seed a pure
-     function of the request script — then the warm syntheses fan out
-     on the pool.  A failed warm attempt (quality gate, unroutable
-     task, component mismatch) rejoins the cold set in dispatch order
-     and is counted as a fallback. *)
-  let fp_of (job : job) =
-    Sim_index.fingerprint
-      ~flow:(match job.flow with `Ours -> "ours" | `Ba -> "ba")
-      ~config:job.config ~graph:job.graph ~allocation:job.allocation ()
+  List.fold_left
+    (fun acc it -> if List.exists (same it) acc then acc else it :: acc)
+    [] dispatched
+  |> List.rev
+  |> List.map (fun (it : job Job_queue.item) ->
+         let fp = Store.fingerprint t.store it.payload in
+         (it, fp, Option.bind fp (Store.near t.store it.payload)))
+
+(* Compute: warm-start the seeded jobs on the pool; the rest, and every
+   failed warm start, run cold through the dispatch hook or the pool.
+   Returns one record per job, in plan order. *)
+let compute t ~since plans =
+  let attempts =
+    Mfb_util.Pool.map ~label:"serve-warm" ~jobs:t.cfg.jobs
+      (fun ((it : job Job_queue.item), fp, (cached, retained)) ->
+        let job = it.payload in
+        ( it,
+          fp,
+          retained,
+          Mfb_repair.Warm.synthesize ~config:job.config ~cached
+            ~delta:t.cfg.warm_delta job.graph job.allocation ))
+      (List.filter_map
+         (fun (it, fp, seed) -> Option.map (fun s -> (it, fp, s)) seed)
+         plans)
   in
-  (* key -> (dispatch result, full result) for warm-started jobs *)
-  let warm_tbl = Hashtbl.create 8 in
-  let fps = Hashtbl.create 8 in
-  (match t.sim with
-   | None -> ()
-   | Some sim ->
-     let wall0 = Unix.gettimeofday () in
-     let planned =
-       List.filter_map
-         (fun (it : job Job_queue.item) ->
-           let job = it.payload in
-           if job.flow <> `Ours then None
-           else begin
-             let fp = fp_of job in
-             Hashtbl.replace fps job.key fp;
-             match Sim_index.nearest sim job.key fp with
-             | None -> None
-             | Some (_ckey, cjob, _diff) ->
-               let cached, cand_warm = full_result_of t cjob in
-               Some (it, cached, cand_warm)
-           end)
-         unique
-     in
-     let attempts =
-       Mfb_util.Pool.map ~label:"serve-warm" ~jobs:t.cfg.jobs
-         (fun ((it : job Job_queue.item), cached, cand_warm) ->
-           ( it,
-             cand_warm,
-             Mfb_repair.Warm.synthesize ~config:it.payload.config ~cached
-               ~delta:t.cfg.warm_delta it.payload.graph it.payload.allocation
-           ))
-         planned
-     in
-     List.iter
-       (fun ((it : job Job_queue.item), cand_warm, outcome) ->
-         match outcome with
-         | Error _ ->
-           t.warm_fallbacks <- t.warm_fallbacks + 1;
-           Telemetry.incr ~cat:"serve" "warm.fallbacks"
-         | Ok (full, _report) ->
-           t.near_hits <- t.near_hits + 1;
-           Telemetry.incr ~cat:"serve" "near.hits";
-           (* like repairs: a warm start whose seed sat in the full LRU
-              costs 1 virtual tick, one whose seed had to be cold
-              re-synthesized costs 2 — the histogram is a deterministic
-              record of cache temperature *)
-           let latency =
-             match t.cfg.clock with
-             | `Virtual -> if cand_warm then 1.0 else 2.0
-             | `Wall -> (Unix.gettimeofday () -. wall0) *. 1000.0
-           in
-           Histogram.add t.h_warm latency;
-           Hashtbl.replace warm_tbl it.payload.key
-             ( {
-                 d_payload =
-                   Mfb_core.Result.(summary_to_json (summarize full));
-                 d_slot = None;
-                 d_attempts = 1;
-                 d_spans = [];
-               },
-               full ))
-       attempts);
+  (* like repairs: a warm start whose seed was retained costs 1 virtual
+     tick, one whose seed was re-synthesized cold costs 2 *)
+  let near =
+    List.filter_map
+      (fun (item, fp, retained, outcome) ->
+        match outcome with
+        | Error _ -> None
+        | Ok (full, _) ->
+          let latency =
+            match t.cfg.clock with
+            | `Virtual -> if retained then 1.0 else 2.0
+            | `Wall -> (Unix.gettimeofday () -. since) *. 1000.0
+          in
+          Some
+            { item; fp; payload = summary_of full; full = Some full;
+              fleet = None; spans = []; path = Near latency })
+      attempts
+  in
   let cold =
     List.filter
-      (fun (it : job Job_queue.item) ->
-        not (Hashtbl.mem warm_tbl it.payload.key))
-      unique
-  in
-  let cold_results =
-    match t.cfg.dispatch with
-    | Some dispatch ->
-      List.map
-        (fun r -> (r, None))
-        (dispatch
-           (List.map (fun (it : job Job_queue.item) -> it.payload) cold))
-    | None ->
-      (* Trace args are resolved on the server thread before fan-out so
-         pool tasks never touch server state.  The full result rides
-         back alongside the summary payload so it can be retained for
-         warm-start repairs. *)
-      let traced =
-        List.map
-          (fun (it : job Job_queue.item) ->
-            let info = req_info_of t it.id in
-            ( it,
-              [ ("rid", Telemetry.Str info.rid);
-                ("key", Telemetry.Str (key_prefix it.payload.key)) ] ))
-          cold
-      in
-      Mfb_util.Pool.map ~label:"serve-job" ~jobs:t.cfg.jobs
-        (fun ((it : job Job_queue.item), trace) ->
-          let full = run_job_full ~trace it.payload in
-          ( {
-              d_payload = Mfb_core.Result.(summary_to_json (summarize full));
-              d_slot = None;
-              d_attempts = 1;
-              d_spans = [];
-            },
-            Some full ))
-        traced
+      (fun (it, _, _) -> not (List.exists (fun c -> c.item == it) near))
+      plans
   in
   let results =
-    let cold_tbl = Hashtbl.create 8 in
-    List.iter2
-      (fun (it : job Job_queue.item) r ->
-        Hashtbl.replace cold_tbl it.payload.key r)
-      cold cold_results;
-    List.map
-      (fun (it : job Job_queue.item) ->
-        match Hashtbl.find_opt warm_tbl it.payload.key with
-        | Some (res, full) -> (res, Some full)
-        | None -> Hashtbl.find cold_tbl it.payload.key)
-      unique
+    match t.cfg.dispatch with
+    | Some dispatch ->
+      let retries attempts slot = (slot, max 0 (attempts - 1)) in
+      List.map
+        (fun r ->
+          (r.d_payload, None, Option.map (retries r.d_attempts) r.d_slot,
+           r.d_spans))
+        (dispatch
+           (List.map (fun ((it : job Job_queue.item), _, _) -> it.payload)
+              cold))
+    | None ->
+      (* Trace args are resolved on the server thread before fan-out so
+         pool tasks never touch server state. *)
+      Mfb_util.Pool.map ~label:"serve-job" ~jobs:t.cfg.jobs
+        (fun (job, trace) ->
+          let full = run_job_full ~trace job in
+          (summary_of full, Some full, None, []))
+        (List.map
+           (fun ((it : job Job_queue.item), _, _) ->
+             ( it.payload,
+               [ ("rid", Telemetry.Str (req_info_of t it.id).rid);
+                 ("key", Telemetry.Str (key_prefix it.payload.key)) ] ))
+           cold)
   in
-  t.computed <- t.computed + List.length unique;
-  let fresh = Hashtbl.create 8 in
-  (* key -> (fleet attribution, worker spans, computing id) for the jobs
-     this batch actually ran; batch duplicates share the attribution but
-     the span tree is grafted only under the computing request. *)
-  let meta = Hashtbl.create 8 in
-  List.iter2
-    (fun (it : job Job_queue.item) (res, full) ->
-      Hashtbl.replace fresh it.payload.key res.d_payload;
-      Hashtbl.replace meta it.payload.key
-        (res.d_slot, res.d_attempts, res.d_spans, it.id);
-      (match t.cache with
-       | Some c -> Lru.add c it.payload.key res.d_payload
-       | None -> ());
-      (match (t.full, full) with
-       | Some c, Some r -> Lru.add c it.payload.key r
-       | _ -> ());
-      Hashtbl.replace t.outcomes it.id
-        (Done { key = it.payload.key; payload = res.d_payload }))
-    unique results;
-  (* Every computed job (cold, warm or fleet-dispatched) becomes a
-     future warm-start candidate.  Entries carry the resolved job, not
-     the result — identical index contents on every transport. *)
-  (match t.sim with
-   | None -> ()
-   | Some sim ->
-     List.iter
-       (fun (it : job Job_queue.item) ->
-         let job = it.payload in
-         if job.flow = `Ours then
-           let fp =
-             match Hashtbl.find_opt fps job.key with
-             | Some fp -> fp
-             | None -> fp_of job
-           in
-           Sim_index.add sim job.key fp job)
-       unique);
-  (* Batch duplicates and jobs answered by an earlier batch's cache
-     entry: the [Lru.find] counts the reuse as a hit. *)
+  let cold =
+    List.map2
+      (fun (item, fp, _) (payload, full, fleet, spans) ->
+        let tried = List.exists (fun (it, _, _, _) -> it == item) attempts in
+        { item; fp; payload; full; fleet; spans;
+          path = (if tried then Fallback else Cold) })
+      cold results
+  in
+  List.map
+    (fun (it, _, _) -> List.find (fun c -> c.item == it) (near @ cold))
+    plans
+
+(* Publish: fill the store, then one pass over the batch in dispatch
+   order writes each outcome and its observability.  A batch duplicate
+   reads its payload from the exact tier, which counts the reuse as a
+   hit. *)
+let publish t dispatched computed =
+  List.iter
+    (fun c ->
+      Store.record t.store c.item.payload ?fp:c.fp ~path:c.path c.payload
+        c.full)
+    computed;
+  t.computed <- t.computed + List.length computed;
   List.iter
     (fun (it : job Job_queue.item) ->
-      if not (Hashtbl.mem t.outcomes it.id) then begin
-        let key = it.payload.key in
-        let payload =
-          match t.cache with
-          | Some c ->
-            (match Lru.find c key with
-             | Some p -> p
-             | None -> Hashtbl.find fresh key)
-          | None -> Hashtbl.find fresh key
-        in
-        Hashtbl.replace t.outcomes it.id (Done { key; payload })
-      end)
-    dispatched;
-  (* Observability pass, in dispatch order. *)
-  List.iter
-    (fun (it : job Job_queue.item) ->
-      let info = req_info_of t it.id in
-      let qw = queue_wait it in
-      let fleet, worker_spans =
-        match Hashtbl.find_opt meta it.payload.key with
-        | Some (Some slot, attempts, spans, owner) ->
-          ( Some (slot, max 0 (attempts - 1)),
-            if owner = it.id then spans else [] )
-        | Some (None, _, spans, owner) ->
-          (None, if owner = it.id then spans else [])
-        | None -> (None, [])
+      let job = it.payload in
+      let c = List.find (fun c -> c.item.payload.key = job.key) computed in
+      let owner = c.item == it in
+      let payload =
+        if owner then c.payload
+        else Option.value (Store.exact t.store job.key) ~default:c.payload
       in
+      Hashtbl.replace t.outcomes it.id (Done { key = job.key; payload });
+      let info = take_info t it.id in
+      let qw = queue_wait t it in
       Histogram.add t.h_queue_wait (float_of_int qw);
-      let total_ticks = qw + 1 in
-      let outcome =
-        if Hashtbl.mem warm_tbl it.payload.key then "near-hit" else "done"
-      in
-      finish_request t ~rid:info.rid ~id:it.id
-        ~key:(key_prefix it.payload.key) ~backend:(backend_name it.payload)
-        ~outcome ~batch:batch_tick ?fleet ~queue_ticks:qw
-        ~compute_ticks:1 ~worker_spans
-        ~latency:(Some (latency_units t info ~total_ticks))
+      (* batch duplicates share the fleet attribution; the worker span
+         tree is grafted only under the computing request *)
+      finish_request t ~rid:info.rid ~id:it.id ~job
+        ~outcome:(match c.path with Near _ -> "near-hit" | _ -> "done")
+        ~batch:t.tick ?fleet:c.fleet ~queue_ticks:qw ~compute_ticks:1
+        ~worker_spans:(if owner then c.spans else [])
+        ~latency:(latency_units t info ~total_ticks:(qw + 1))
         ())
     dispatched
 
+let process_batch t =
+  let since = Unix.gettimeofday () in
+  let dispatched = admit t in
+  publish t dispatched (compute t ~since (resolve_batch t dispatched))
+
+(* Run batches until a still-queued [id] reaches its outcome. *)
 let drain_until t id =
-  while
-    (not (Hashtbl.mem t.outcomes id)) && Job_queue.length t.queue > 0
-  do
+  while Job_queue.position t.queue id <> None do
     process_batch t
   done
 
 (* --- stats --- *)
 
 let stats_json t =
-  let cache_json =
-    match t.cache with
-    | None -> Json.Null
-    | Some c ->
-      let s = Lru.stats c in
-      Json.Obj
-        [
-          ("capacity", Json.Int (Lru.capacity c));
-          ("entries", Json.Int (Lru.length c));
-          ("hits", Json.Int s.hits);
-          ("misses", Json.Int s.misses);
-          ("evictions", Json.Int s.evictions);
-        ]
+  let tiers = Store.tiers t.store in
+  let used =
+    List.filter_map
+      (fun name ->
+        Option.map (fun ss -> (name, Store.to_json ss)) (List.assoc name tiers))
+      [ "near"; "repair" ]
   in
-  let fields =
-    [
-      ("tick", Json.Int t.tick);
-      ("submitted", Json.Int t.submitted);
-      ("computed", Json.Int t.computed);
-      ("cache", cache_json);
-      ( "queue",
-        Json.Obj
-          [
-            ("depth", Json.Int (Job_queue.depth t.queue));
-            ("queued", Json.Int (Job_queue.length t.queue));
-          ] );
-      ( "shed",
-        Json.Obj
-          [
-            ("deadline", Json.Int t.shed_deadline);
-            ("displaced", Json.Int t.shed_displaced);
-          ] );
-      ("rejected", Json.Int t.rejected);
-      ("latency", Histogram.snapshot_json t.h_latency);
-      ("queue_wait", Histogram.snapshot_json t.h_queue_wait);
-    ]
-    (* present only once a near-hit or fallback happened, so the stats
-       payload stays byte-identical for similarity-free scripts *)
-    @ (if t.near_hits + t.warm_fallbacks = 0 then []
-       else
-         [ ( "near",
-             Json.Obj
-               [
-                 ("hits", Json.Int t.near_hits);
-                 ("fallbacks", Json.Int t.warm_fallbacks);
-                 ("latency", Histogram.snapshot_json t.h_warm);
-               ] ) ])
-    (* present only once a repair has run, so the stats payload stays
-       byte-identical to older servers for scripts that never repair *)
-    @ (if t.repairs = 0 then []
-       else
-         [ ( "repair",
-             Json.Obj
-               [
-                 ("total", Json.Int t.repairs);
-                 ("warm", Json.Int t.repairs_warm);
-                 ("latency", Histogram.snapshot_json t.h_repair);
-               ] ) ])
+  Json.Obj
+    ([
+       ("tick", Json.Int t.tick);
+       ("submitted", Json.Int t.submitted);
+       ("computed", Json.Int t.computed);
+       ( "cache",
+         Option.fold ~none:Json.Null ~some:Store.to_json
+           (List.assoc "cache" tiers) );
+       ( "queue",
+         Json.Obj
+           [
+             ("depth", Json.Int (Job_queue.depth t.queue));
+             ("queued", Json.Int (Job_queue.length t.queue));
+           ] );
+       ( "shed",
+         Json.Obj
+           [
+             ("deadline", Json.Int t.shed_deadline);
+             ("displaced", Json.Int t.shed_displaced);
+           ] );
+       ("rejected", Json.Int t.rejected);
+       ("latency", Histogram.snapshot_json t.h_latency);
+       ("queue_wait", Histogram.snapshot_json t.h_queue_wait);
+     ]
+    @ used
     @ [
         ("jobs", Json.Int t.cfg.jobs);
         ("config", Mfb_core.Config.to_json t.cfg.flow_config);
       ]
-    @ (match t.cfg.extra_stats with None -> [] | Some f -> f ())
-  in
-  Json.Obj fields
+    @ match t.cfg.extra_stats with None -> [] | Some f -> f ())
 
 let latency_histogram t = t.h_latency
 
 let queue_wait_histogram t = t.h_queue_wait
 
-let repair_latency_histogram t = t.h_repair
+let near_hit_counts t = (t.store.near_hits, t.store.fallbacks)
 
-let warm_latency_histogram t = t.h_warm
-
-let near_hit_counts t = (t.near_hits, t.warm_fallbacks)
-
-(* Prometheus text exposition: server counters, cache counters, and the
-   two rolling histograms; a fleet appends its per-slot series via
+(* Prometheus text exposition: server counters, the store's tiers, and
+   the two rolling histograms; a fleet appends its per-slot series via
    [extra_prometheus].  Deterministic under the virtual clock. *)
 let prometheus_stats t =
   let buf = Buffer.create 1024 in
-  let counter name help v =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s %s\n# TYPE %s counter\n%s %d\n" name help
-         name name v)
+  let tiers = Store.tiers t.store in
+  let tier name =
+    Option.iter (Store.to_prometheus buf) (List.assoc name tiers)
   in
-  let gauge name help v =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s %s\n# TYPE %s gauge\n%s %d\n" name help name
-         name v)
-  in
-  counter "dcsa_submitted_total" "accepted submissions" t.submitted;
-  counter "dcsa_computed_total" "jobs synthesised (after dedup)" t.computed;
+  let metric = prom_metric buf in
+  metric "counter" "dcsa_submitted_total" "accepted submissions" t.submitted;
+  metric "counter" "dcsa_computed_total" "jobs synthesised (after dedup)"
+    t.computed;
   Buffer.add_string buf
     (Printf.sprintf
        "# HELP dcsa_shed_total jobs shed before completion\n\
@@ -748,44 +782,17 @@ let prometheus_stats t =
         dcsa_shed_total{reason=\"deadline\"} %d\n\
         dcsa_shed_total{reason=\"displaced\"} %d\n"
        t.shed_deadline t.shed_displaced);
-  counter "dcsa_rejected_total" "refused submissions" t.rejected;
-  (match t.cache with
-   | None -> ()
-   | Some c ->
-     let s = Lru.stats c in
-     counter "dcsa_cache_hits_total" "result cache hits" s.hits;
-     counter "dcsa_cache_misses_total" "result cache misses" s.misses;
-     counter "dcsa_cache_evictions_total" "result cache evictions" s.evictions;
-     gauge "dcsa_cache_entries" "live result cache entries" (Lru.length c));
-  gauge "dcsa_tick" "virtual batch clock" t.tick;
-  gauge "dcsa_queue_length" "jobs waiting in the queue"
+  metric "counter" "dcsa_rejected_total" "refused submissions" t.rejected;
+  tier "cache";
+  metric "gauge" "dcsa_tick" "virtual batch clock" t.tick;
+  metric "gauge" "dcsa_queue_length" "jobs waiting in the queue"
     (Job_queue.length t.queue);
   Histogram.prometheus ~help:"request latency (ticks, or ms in wall mode)"
     ~name:"dcsa_request_latency" buf t.h_latency;
   Histogram.prometheus ~help:"queue wait (virtual ticks)"
     ~name:"dcsa_queue_wait_ticks" buf t.h_queue_wait;
-  (* similarity series appear only once a near-hit or fallback happened,
-     keeping the exposition byte-identical for similarity-free scripts *)
-  if t.near_hits + t.warm_fallbacks > 0 then begin
-    counter "dcsa_near_hits_total"
-      "submissions answered by a warm start from a similar cached solution"
-      t.near_hits;
-    counter "dcsa_warm_fallbacks_total"
-      "warm-start attempts that fell back to cold synthesis"
-      t.warm_fallbacks;
-    Histogram.prometheus
-      ~help:"warm-start latency (ticks, or ms in wall mode)"
-      ~name:"dcsa_warm_latency" buf t.h_warm
-  end;
-  (* like the stats payload: repair series appear only once a repair has
-     run, keeping the exposition byte-identical for repair-free scripts *)
-  if t.repairs > 0 then begin
-    counter "dcsa_repairs_total" "repair requests answered" t.repairs;
-    counter "dcsa_repairs_warm_total"
-      "repairs warm-started from a retained full result" t.repairs_warm;
-    Histogram.prometheus ~help:"repair latency (ticks, or ms in wall mode)"
-      ~name:"dcsa_repair_latency" buf t.h_repair
-  end;
+  tier "near";
+  tier "repair";
   (match t.cfg.extra_prometheus with None -> () | Some f -> f buf);
   (* scrapers require the body to end in a newline; guard against an
      extra_prometheus hook that forgot its terminator *)
@@ -797,16 +804,12 @@ let prometheus_stats t =
    whether a telemetry sink was installed. *)
 let totals_json t =
   let cache =
-    match t.cache with
+    match List.assoc "cache" (Store.tiers t.store) with
+    | Some ss -> Store.to_json ~counters_only:true ss
     | None ->
       Json.Obj
         [ ("hits", Json.Int 0); ("misses", Json.Int 0);
           ("evictions", Json.Int 0) ]
-    | Some c ->
-      let s = Lru.stats c in
-      Json.Obj
-        [ ("hits", Json.Int s.hits); ("misses", Json.Int s.misses);
-          ("evictions", Json.Int s.evictions) ]
   in
   let queue =
     Json.Obj
@@ -844,42 +847,35 @@ let goodbye_json t =
 
 (* --- request handling --- *)
 
+(* Bookkeeping shared by every accepted submission, cache hit or queued. *)
+let accept t ~rid ~id job =
+  Hashtbl.replace t.ids id ();
+  Hashtbl.replace t.specs id job;
+  t.submitted <- t.submitted + 1;
+  { rid; submit_tick = t.tick; submit_wall = Unix.gettimeofday () }
+
 let handle_submit t ~id ~priority ~deadline ~flow ~spec ~overrides =
   let rid = next_rid t in
-  let finish_rejected ~key ~backend ~reason =
-    finish_request t ~rid ~id ~key ~backend ~outcome:"rejected" ~reason
-      ~queue_ticks:0 ~compute_ticks:0 ~worker_spans:[] ~latency:None ()
+  let rejected ?job ~why reason =
+    finish_request t ~rid ~id ?job ~outcome:"rejected" ~reason:why ();
+    P.Rejected { op = "submit"; id; reason }
   in
-  if Hashtbl.mem t.ids id then begin
-    finish_rejected ~key:"-" ~backend:"-" ~reason:"duplicate id";
-    P.Rejected { op = "submit"; id; reason = "duplicate id" }
-  end
+  if Hashtbl.mem t.ids id then rejected ~why:"duplicate id" "duplicate id"
   else
-    match resolve_job t ~flow ~overrides spec with
+    match resolve ~base:t.cfg.flow_config ~flow ~overrides spec with
     | Error reason ->
       t.rejected <- t.rejected + 1;
-      finish_rejected ~key:"-" ~backend:"-" ~reason:"invalid spec";
-      P.Rejected { op = "submit"; id; reason }
+      rejected ~why:"invalid spec" reason
     | Ok job ->
-      let hit =
-        match t.cache with Some c -> Lru.find c job.key | None -> None
-      in
-      (match hit with
+      let submitted () = P.Submitted { id; key = Cache_key.to_hex job.key } in
+      (match Store.exact t.store job.key with
        | Some payload ->
-         Hashtbl.replace t.ids id ();
-         Hashtbl.replace t.specs id job;
-         t.submitted <- t.submitted + 1;
+         let info = accept t ~rid ~id job in
          Hashtbl.replace t.outcomes id (Done { key = job.key; payload });
-         let info =
-           { rid; submit_tick = t.tick; submit_wall = Unix.gettimeofday () }
-         in
-         Hashtbl.replace t.req_info id info;
-         finish_request t ~rid ~id ~key:(key_prefix job.key)
-           ~backend:(backend_name job) ~outcome:"hit" ~queue_ticks:0
-           ~compute_ticks:0 ~worker_spans:[]
-           ~latency:(Some (latency_units t info ~total_ticks:0))
+         finish_request t ~rid ~id ~job ~outcome:"hit"
+           ~latency:(latency_units t info ~total_ticks:0)
            ();
-         P.Submitted { id; key = Cache_key.to_hex job.key }
+         submitted ()
        | None ->
          (match
             Job_queue.submit t.queue ~now:t.tick ~id ~priority ?deadline job
@@ -887,125 +883,81 @@ let handle_submit t ~id ~priority ~deadline ~flow ~spec ~overrides =
           | Job_queue.Refused reason ->
             t.rejected <- t.rejected + 1;
             Telemetry.incr ~cat:"serve" "rejected";
-            finish_rejected ~key:(key_prefix job.key)
-              ~backend:(backend_name job) ~reason:"queue full";
-            P.Rejected { op = "submit"; id; reason }
+            rejected ~job ~why:"queue full" reason
           | admission ->
             (match admission with
-             | Job_queue.Displaced shed ->
+             | Job_queue.Displaced victim ->
                t.shed_displaced <- t.shed_displaced + 1;
                Telemetry.incr ~cat:"serve" "shed.displaced";
-               Hashtbl.replace t.outcomes shed.id
-                 (Shed
-                    (Printf.sprintf
-                       "displaced by higher-priority submission %S" id));
-               let sinfo = req_info_of t shed.id in
-               finish_request t ~rid:sinfo.rid ~id:shed.id
-                 ~key:(key_prefix shed.payload.key)
-                 ~backend:(backend_name shed.payload) ~outcome:"shed"
-                 ~reason:"displaced"
-                 ~queue_ticks:(max 0 (t.tick - sinfo.submit_tick))
-                 ~compute_ticks:0 ~worker_spans:[] ~latency:None ()
+               shed t victim ~why:"displaced"
+                 ~reason:
+                   (Printf.sprintf
+                      "displaced by higher-priority submission %S" id)
+                 ~queue_ticks:
+                   (max 0 (t.tick - (req_info_of t victim.id).submit_tick))
+                 ()
              | _ -> ());
-            Hashtbl.replace t.ids id ();
-            Hashtbl.replace t.specs id job;
-            t.submitted <- t.submitted + 1;
-            Hashtbl.replace t.req_info id
-              {
-                rid;
-                submit_tick = t.tick;
-                submit_wall = Unix.gettimeofday ();
-              };
+            Hashtbl.replace t.req_info id (accept t ~rid ~id job);
             Telemetry.gauge ~cat:"serve" "queue.depth"
               (float_of_int (Job_queue.length t.queue));
             while Job_queue.length t.queue >= t.cfg.batch do
               process_batch t
             done;
-            P.Submitted { id; key = Cache_key.to_hex job.key }))
+            submitted ()))
 
 (* --- defect repair ---
 
    A repair request names a previously accepted submission and a defect
-   set, and answers with the {!Mfb_repair.Plan} report.  Warm path: the
-   target's full result is still retained from its in-process batch run
-   — the repair warm-starts from it in one virtual tick.  Cold path: the
-   full result must first be re-synthesized (same config, [jobs = 1], so
-   byte-identical to the original run) — two ticks.  The report is a
-   pure function of (job, defects) either way; cache temperature can
-   only change latency, never bytes, exactly like the summary cache. *)
+   set, and answers with the {!Mfb_repair.Plan} report, warm-started
+   from the target's full result in the store: one virtual tick when it
+   was retained, two when it had to be re-synthesized cold first.  The
+   report is a pure function of (job, defects) either way; cache
+   temperature can only change latency, never bytes. *)
 
 let handle_repair t ~id ~target ~defects =
   let rid = next_rid t in
   let wall0 = Unix.gettimeofday () in
-  let log ~key ~backend ~outcome ?reason ~compute_ticks () =
-    match t.cfg.access_log with
-    | None -> ()
-    | Some oc ->
-      let fields =
-        access_fields ~rid ~id ~key ~backend ~outcome ?reason ~queue_ticks:0
-          ~compute_ticks ()
-      in
-      output_string oc (Json.to_string (Json.Obj fields));
-      output_char oc '\n';
-      flush oc
-  in
-  let rejected ~key ~backend ~why reason =
-    log ~key ~backend ~outcome:"rejected" ~reason:why ~compute_ticks:0 ();
+  let rejected ?job ~why reason =
+    finish_request t ~rid ~id ?job ~outcome:"rejected" ~reason:why ();
     P.Rejected { op = "repair"; id; reason }
   in
-  if Hashtbl.mem t.ids id then
-    rejected ~key:"-" ~backend:"-" ~why:"duplicate id" "duplicate id"
+  if Hashtbl.mem t.ids id then rejected ~why:"duplicate id" "duplicate id"
   else begin
     (* a still-queued target is forced to an outcome first, exactly as a
        [result] request would *)
-    if
-      (not (Hashtbl.mem t.outcomes target))
-      && Job_queue.position t.queue target <> None
-    then drain_until t target;
+    drain_until t target;
     match Hashtbl.find_opt t.specs target with
     | None ->
-      log ~key:"-" ~backend:"-" ~outcome:"rejected" ~reason:"unknown target"
-        ~compute_ticks:0 ();
+      finish_request t ~rid ~id ~outcome:"rejected" ~reason:"unknown target"
+        ();
       P.Bad_request
         { id = Some id;
           message = Printf.sprintf "unknown target id %S" target }
     | Some job ->
-      let key = key_prefix job.key in
-      let backend = backend_name job in
       (match Hashtbl.find_opt t.outcomes target with
        | Some (Shed reason) ->
-         rejected ~key ~backend ~why:"target shed" ("target was shed: " ^ reason)
-       | None ->
-         rejected ~key ~backend ~why:"target pending" "target has no result yet"
+         rejected ~job ~why:"target shed" ("target was shed: " ^ reason)
+       | None -> rejected ~job ~why:"target pending" "target has no result yet"
        | Some (Done _) ->
          Hashtbl.replace t.ids id ();
-         let full, warm = full_result_of t job in
+         let full, warm = Store.full t.store job in
          let plan =
            List.map
              (fun tg -> { Mfb_repair.Defect.tick = 0; target = tg })
              defects
          in
          (match Mfb_repair.Defect.check full.Mfb_core.Result.chip plan with
-          | Error reason ->
-            rejected ~key ~backend ~why:"invalid defects" reason
+          | Error reason -> rejected ~job ~why:"invalid defects" reason
           | Ok () ->
-            let compute_ticks = if warm then 1 else 2 in
-            let run () =
-              Mfb_repair.Plan.repair ~config:job.config full ~defects
-            in
-            (* the repair span lands under a real request span on this
-               request's subtrack *)
             let o =
-              if Telemetry.active () then
-                Telemetry.on_subtrack (Telemetry.subtrack rid) (fun () ->
-                    Telemetry.span ~cat:"serve"
-                      ~args:
-                        [ ("rid", Telemetry.Str rid); ("id", Telemetry.Str id);
-                          ("target", Telemetry.Str target);
-                          ("key", Telemetry.Str key);
-                          ("outcome", Telemetry.Str "repair") ]
-                      "request" run)
-              else run ()
+              Telemetry.span ~cat:"serve"
+                ~args:
+                  [ ("rid", Telemetry.Str rid); ("id", Telemetry.Str id);
+                    ("target", Telemetry.Str target);
+                    ("key", Telemetry.Str (key_prefix job.key)) ]
+                "request"
+                (fun () ->
+                  Mfb_repair.Plan.repair ~config:job.config full ~defects)
             in
             let errors =
               if o.Mfb_repair.Plan.report.survived then
@@ -1014,18 +966,15 @@ let handle_repair t ~id ~target ~defects =
             in
             (match errors with
              | err :: _ ->
-               rejected ~key ~backend ~why:"illegal repair"
+               rejected ~job ~why:"illegal repair"
                  ("repair produced an illegal result: " ^ err)
              | [] ->
-               t.repairs <- t.repairs + 1;
-               if warm then t.repairs_warm <- t.repairs_warm + 1;
-               let latency =
-                 match t.cfg.clock with
-                 | `Virtual -> float_of_int compute_ticks
-                 | `Wall -> (Unix.gettimeofday () -. wall0) *. 1000.0
-               in
-               Histogram.add t.h_repair latency;
-               log ~key ~backend
+               let compute_ticks = if warm then 1 else 2 in
+               Store.repaired t.store ~warm
+                 (match t.cfg.clock with
+                  | `Virtual -> float_of_int compute_ticks
+                  | `Wall -> (Unix.gettimeofday () -. wall0) *. 1000.0);
+               finish_request t ~rid ~id ~job
                  ~outcome:(if warm then "repair" else "repair-cold")
                  ~compute_ticks ();
                P.Repair_result
@@ -1053,10 +1002,7 @@ let handle t req =
          P.Job_status { id; state = "queued" }
        else P.Bad_request { id = Some id; message = "unknown id" })
   | P.Result id ->
-    if
-      (not (Hashtbl.mem t.outcomes id))
-      && Job_queue.position t.queue id <> None
-    then drain_until t id;
+    drain_until t id;
     (match Hashtbl.find_opt t.outcomes id with
      | Some (Done { key; payload }) ->
        P.Job_result

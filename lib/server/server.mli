@@ -27,23 +27,35 @@
     preserves task order.  Caching is therefore {e transparent} — it can
     only change latency, never a payload.
 
+    {2 Result store}
+
+    Every reuse path reads one store with three tiers keyed by
+    {!Cache_key}: {e exact} (summary payloads, [cache_capacity]),
+    {e full} (full results, [repair_cache]) and {e near} (the
+    {!Sim_index}, with [similarity]).  A full result that is no longer
+    retained is re-synthesized cold, byte-identical to its original run,
+    so cache temperature can only change latency; the near tier holds
+    resolved jobs, never results, so warm-start decisions and payloads
+    are a pure function of the request script.  A batch runs in four
+    phases: admit (pop, shed expired jobs), resolve (one job per key,
+    find warm-start seeds), compute (warm starts, then cold runs) and
+    publish (fill the store, then write every outcome in dispatch
+    order; a batch duplicate reads the exact tier, counting a hit).
+
     {2 Repair}
 
     A [repair] request names a previously accepted submission and a
     defect set ({!Mfb_repair.Defect.target}s) and answers with the
-    {!Mfb_repair.Plan} escalation report.  The server warm-starts from
-    the retained full result of the target job when it is still in the
-    repair cache (1 virtual tick), or re-synthesizes it first (2 ticks).
-    The report bytes are a pure function of (job, defects) — cache
-    temperature, [jobs] and transport can only change latency.  A
-    surviving repair whose result fails the legality audit
-    ({!Mfb_repair.Plan.verify}) is rejected rather than returned.
+    {!Mfb_repair.Plan} escalation report, warm-started from the target's
+    full result: 1 virtual tick when it was retained, 2 when it was
+    re-synthesized first.  The report bytes are a pure function of
+    (job, defects).  A surviving repair whose result fails the legality
+    audit ({!Mfb_repair.Plan.verify}) is rejected rather than returned.
 
     {2 Similarity & warm start}
 
-    With [similarity] enabled, every computed job is fingerprinted into
-    a {!Sim_index}; a later batch job within [sim_threshold] edit
-    distance of a cached one is {e warm-started}
+    With [similarity] enabled, a batch job within [sim_threshold] edit
+    distance of a computed one is {e warm-started}
     ({!Mfb_repair.Warm.synthesize}): cached placement reused, intact
     routes replayed, invalidated transports re-routed through the
     repair ladder, with a legality + quality-delta proof obligation and
@@ -52,10 +64,7 @@
     the [dcsa_near_hits_total] / [dcsa_warm_fallbacks_total] counters
     and [dcsa_warm_latency] histogram, all absent until the first
     near-hit or fallback so similarity-free transcripts keep their
-    bytes.  Warm-start decisions and payloads are a pure function of
-    the request script: the index stores resolved jobs (never results),
-    and an evicted seed is re-synthesized cold, byte-identical to its
-    original run. *)
+    bytes. *)
 
 type job = {
   key : Cache_key.t;
@@ -189,7 +198,8 @@ val shutting_down : t -> bool
 val stats_json : t -> Mfb_util.Json.t
 (** Tick count, submissions, computations, cache hit/miss/eviction,
     queue occupancy, shed/rejection counters, rolling latency and
-    queue-wait histogram snapshots, and the server config. *)
+    queue-wait histogram snapshots, the ["near"] and ["repair"] sections
+    (counters and latency snapshots) once used, and the server config. *)
 
 val prometheus_stats : t -> string
 (** Prometheus text exposition of the same counters plus the full
@@ -206,18 +216,6 @@ val latency_histogram : t -> Mfb_util.Histogram.t
 
 val queue_wait_histogram : t -> Mfb_util.Histogram.t
 (** The rolling queue-wait histogram (always virtual ticks). *)
-
-val repair_latency_histogram : t -> Mfb_util.Histogram.t
-(** The rolling repair-latency histogram (clock units).  Under the
-    virtual clock a warm-started repair observes 1 tick and a cold one
-    (full result re-synthesized first) 2 ticks, so the histogram is a
-    deterministic record of cache temperature. *)
-
-val warm_latency_histogram : t -> Mfb_util.Histogram.t
-(** The rolling warm-start latency histogram (clock units).  Under the
-    virtual clock a near-hit whose seed sat in the repair cache observes
-    1 tick, one whose seed had to be cold re-synthesized 2 ticks — the
-    same cache-temperature convention as repairs. *)
 
 val near_hit_counts : t -> int * int
 (** [(near hits, warm fallbacks)] so far. *)

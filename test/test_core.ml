@@ -46,7 +46,26 @@ let test_config_validation () =
     (fun () -> Config.validate { cfg with we = -1. });
   Alcotest.check_raises "beta/gamma"
     (Invalid_argument "Config: beta and gamma must be non-negative")
-    (fun () -> Config.validate { cfg with beta = -0.1 })
+    (fun () -> Config.validate { cfg with beta = -0.1 });
+  let rejects name c =
+    Alcotest.(check bool) name true
+      (match Config.validate c with
+       | () -> false
+       | exception Invalid_argument _ -> true)
+  in
+  rejects "tc nan" { cfg with tc = Float.nan };
+  rejects "tc inf" { cfg with tc = Float.infinity };
+  rejects "tc above ceiling" { cfg with tc = 1e308 };
+  rejects "we nan" { cfg with we = Float.nan };
+  rejects "beta inf" { cfg with beta = Float.infinity };
+  rejects "gamma nan" { cfg with gamma = Float.nan };
+  rejects "sa_restarts above cap"
+    { cfg with sa_restarts = Config.max_sa_restarts + 1 };
+  rejects "exact_fuel above cap"
+    { cfg with exact_fuel = Config.max_exact_fuel + 1 };
+  Config.validate
+    { cfg with tc = Config.max_tc; sa_restarts = Config.max_sa_restarts;
+               exact_fuel = Config.max_exact_fuel }
 
 (* --- Suite --- *)
 

@@ -350,8 +350,8 @@ let test_protocol_malformed () =
 (* --- server behaviour --- *)
 
 let server ?(jobs = 1) ?(cache = 128) ?(depth = 64) ?(batch = 8)
-    ?(repair_cache = 8) ?dispatch ?extra_stats ?access_log ?slow_threshold ()
-    =
+    ?(repair_cache = 8) ?(similarity = false) ?dispatch ?extra_stats
+    ?access_log ?slow_threshold () =
   Server.create
     {
       Server.default_config with
@@ -360,6 +360,7 @@ let server ?(jobs = 1) ?(cache = 128) ?(depth = 64) ?(batch = 8)
       queue_depth = depth;
       batch;
       repair_cache;
+      similarity;
       flow_config = Config.default;
       dispatch;
       extra_stats;
@@ -503,6 +504,65 @@ let test_server_rejections () =
   match call_exn c (P.Status "ghost") with
   | P.Bad_request _ -> ()
   | r -> Alcotest.failf "unknown status: %s" (P.response_to_line r)
+
+(* Out-of-range numbers are refused at admission with a reason, and the
+   healthy job sharing their batch still completes: one access-log
+   record per submission, each refusal counted. *)
+let test_server_bounds_numeric_input () =
+  let path = Filename.temp_file "bounds" ".jsonl" in
+  let oc = open_out path in
+  let s = server ~access_log:oc () in
+  let bad =
+    [ ("bad", {|"tc":1e308|}); ("inf", {|"tc":1e999|});
+      ("work", {|"sa_restarts":100000000|}) ]
+  in
+  let answer line =
+    match Server.handle_line s line with
+    | Some l ->
+      (match P.response_of_line l with
+       | Ok r -> r
+       | Error e -> Alcotest.failf "unparsable reply (%s): %s" e l)
+    | None -> Alcotest.failf "no reply to %s" line
+  in
+  (match answer {|{"op":"submit","id":"ok1","benchmark":"PCR"}|} with
+   | P.Submitted _ -> ()
+   | r -> Alcotest.failf "ok1: %s" (P.response_to_line r));
+  List.iter
+    (fun (id, field) ->
+      match
+        answer
+          (Printf.sprintf {|{"op":"submit","id":"%s","benchmark":"IVD",%s}|}
+             id field)
+      with
+      | P.Rejected { op = "submit"; id = rid; reason } ->
+        Alcotest.(check string) "rejected id" id rid;
+        Alcotest.(check bool) (id ^ ": reason given") true
+          (contains ~sub:"Config" reason)
+      | r -> Alcotest.failf "%s accepted: %s" id (P.response_to_line r))
+    bad;
+  (match answer {|{"op":"result","id":"ok1"}|} with
+   | P.Job_result { id = "ok1"; _ } -> ()
+   | r -> Alcotest.failf "ok1 result: %s" (P.response_to_line r));
+  let stats = Server.stats_json s in
+  close_out oc;
+  let log = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let records = String.split_on_char '\n' (String.trim log) in
+  Alcotest.(check int) "one access record per submission" 4
+    (List.length records);
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (id ^ " logged once")
+        1
+        (List.length
+           (List.filter (contains ~sub:(Printf.sprintf {|"id":"%s"|} id))
+              records)))
+    ("ok1" :: List.map fst bad);
+  Alcotest.(check bool) "rejections counted" true
+    (Json.member "rejected" stats = Some (Json.Int 3));
+  Alcotest.(check bool) "ok1 computed" true
+    (Json.member "computed" stats = Some (Json.Int 1))
 
 let test_server_admission_and_shedding () =
   (* batch larger than anything we queue: dispatch only on demand *)
@@ -754,6 +814,10 @@ let test_access_log_deterministic_across_jobs () =
   Alcotest.(check string) "access log bytes jobs=1 = jobs=2" log1 log2;
   let lines = String.split_on_char '\n' (String.trim log1) in
   Alcotest.(check int) "one record per submit" 4 (List.length lines);
+  (* the duplicate-id rejection must not release the queued original's
+     request id *)
+  Alcotest.(check bool) "every record keeps its request id" false
+    (List.exists (contains ~sub:{|"rid":"-"|}) lines);
   List.iter
     (fun line ->
       match Json.of_string line with
@@ -854,6 +918,15 @@ let test_latency_histogram_tracks_requests () =
   Alcotest.(check bool) "max latency >= 1 tick (compute)" true
     (Mfb_util.Histogram.max_value h >= 1.0)
 
+(* A numeric stats field by path; Int and Float read alike. *)
+let stat stats path =
+  match
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats) path
+  with
+  | Some (Json.Int i) -> float_of_int i
+  | Some (Json.Float f) -> f
+  | _ -> Alcotest.failf "stats lack %s" (String.concat "." path)
+
 (* --- the repair op --- *)
 
 module Defect = Mfb_repair.Defect
@@ -882,12 +955,8 @@ let test_server_repair_warm_cold_identical () =
   Alcotest.(check bool) "no retention => cold" false cold;
   Alcotest.(check string) "report bytes independent of cache temperature"
     r_warm r_cold;
-  (* the virtual clock prices the temperature: warm repairs cost 1 tick *)
-  let h = Server.repair_latency_histogram s in
-  Alcotest.(check int) "one repair latency" 1 (Mfb_util.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "warm latency is 1 tick" 1.0
-    (Mfb_util.Histogram.max_value h);
-  (* stats gained the repair section *)
+  (* stats gained the repair section; the virtual clock prices the
+     temperature: warm repairs cost 1 tick *)
   match Server.stats_json s with
   | Json.Obj fields ->
     (match List.assoc_opt "repair" fields with
@@ -895,7 +964,13 @@ let test_server_repair_warm_cold_identical () =
        Alcotest.(check bool) "repairs total" true
          (List.assoc_opt "total" rf = Some (Json.Int 1));
        Alcotest.(check bool) "repairs warm" true
-         (List.assoc_opt "warm" rf = Some (Json.Int 1))
+         (List.assoc_opt "warm" rf = Some (Json.Int 1));
+       let latency k = stat (Json.Obj rf) [ "latency"; k ] in
+       Alcotest.(check (float 1e-9)) "one repair latency" 1.0
+         (latency "count");
+       Alcotest.(check (float 1e-9)) "warm latency is 1 tick" 1.0
+         (latency "max");
+       Alcotest.(check (float 1e-9)) "repair latency sum" 1.0 (latency "sum")
      | _ -> Alcotest.fail "stats lost the repair section");
     Alcotest.(check bool) "prometheus repair series" true
       (contains ~sub:"dcsa_repair_latency" (Server.prometheus_stats s))
@@ -966,6 +1041,132 @@ let test_server_repair_errors () =
     Alcotest.(check bool) "no repair section" true
       (List.assoc_opt "repair" fields = None)
   | _ -> Alcotest.fail "stats is not an object"
+
+(* --- cache accounting across every reuse path --- *)
+
+let submit_text ~id text =
+  P.Submit
+    {
+      id;
+      priority = 0;
+      deadline = None;
+      flow = `Ours;
+      spec = P.Assay { text; alloc = None };
+      overrides = P.no_overrides;
+      trace = None;
+    }
+
+(* [duration_assay] with a second edit (op 1 heat 4 -> 6). *)
+let duration2_assay =
+  "assay \"t\"\n\
+   fluid a 4e-7\n\
+   fluid b 1e-6\n\
+   op 0 mix 6 a\n\
+   op 1 heat 6 b\n\
+   op 2 detect 3 a\n\
+   edge 0 1\n\
+   edge 1 2\n"
+
+let repair_at ~id ~target =
+  P.Repair { id; target; defects = [ Mfb_repair.Defect.Cell (0, 0) ] }
+
+(* One script at [--batch 4] through every reuse path: a within-batch
+   duplicate (a2), a cross-batch repeat answered at submit (h), a
+   near-hit whose seed is still retained (p5 off p2, a seed-only knob
+   edit), a near-hit whose seed was evicted from the 1-entry full-result
+   cache (b off a), a chained near-hit (x off b), warm and cold repairs,
+   and a resubmission whose summary entry was evicted (p1b). *)
+let accounting_script =
+  [
+    submit_text ~id:"a" base_assay;
+    submit_text ~id:"a2" base_assay;
+    submit ~id:"p1" ~seed:(Some 1) pcr;
+    submit ~id:"p2" ~seed:(Some 2) pcr;
+    P.Result "a2";
+    submit_text ~id:"h" base_assay;
+    submit ~id:"p5" ~seed:(Some 5) pcr;
+    submit_text ~id:"b" duration_assay;
+    P.Result "b";
+    repair_at ~id:"r1" ~target:"b";
+    repair_at ~id:"r2" ~target:"p1";
+    submit_text ~id:"x" duration2_assay;
+    submit ~id:"p1b" ~seed:(Some 1) pcr;
+    P.Result "x";
+    P.Result "p1b";
+  ]
+
+let accounting_run ~jobs =
+  let path = Filename.temp_file "acct" ".jsonl" in
+  let oc = open_out path in
+  let s =
+    server ~jobs ~batch:4 ~cache:3 ~repair_cache:1 ~similarity:true
+      ~access_log:oc ()
+  in
+  let responses =
+    List.filter_map (Server.handle_line s)
+      (List.map P.request_to_line accounting_script)
+  in
+  let stats =
+    match Server.handle s P.Shutdown with
+    | P.Goodbye stats -> stats
+    | r -> Alcotest.failf "shutdown: %s" (P.response_to_line r)
+  in
+  close_out oc;
+  let log = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let outcomes =
+    List.map
+      (fun line ->
+        match Json.of_string line with
+        | Ok doc ->
+          (match (Json.member "id" doc, Json.member "outcome" doc) with
+           | Some (Json.String id), Some (Json.String o) -> id ^ ":" ^ o
+           | _ -> Alcotest.failf "access record lacks id/outcome: %s" line)
+        | Error e -> Alcotest.failf "access record not JSON (%s): %s" e line)
+      (String.split_on_char '\n' (String.trim log))
+  in
+  (responses, stats, outcomes)
+
+let test_cache_accounting_pinned () =
+  let r1, stats1, log1 = accounting_run ~jobs:1 in
+  let r2, stats2, log2 = accounting_run ~jobs:2 in
+  Alcotest.(check (list string)) "responses jobs=1 = jobs=2" r1 r2;
+  let expected_log =
+    [ "a:done"; "a2:done"; "p1:done"; "p2:done"; "h:hit"; "p5:near-hit";
+      "b:near-hit"; "r1:repair"; "r2:repair-cold"; "x:near-hit";
+      "p1b:near-hit" ]
+  in
+  Alcotest.(check (list string)) "outcomes (jobs=1)" expected_log log1;
+  Alcotest.(check (list string)) "outcomes (jobs=2)" expected_log log2;
+  List.iter
+    (fun (path, want) ->
+      let name = String.concat "." path in
+      let check jobs stats =
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "%s (jobs=%d)" name jobs)
+          want (stat stats path)
+      in
+      check 1 stats1;
+      check 2 stats2)
+    [
+      ([ "cache"; "hits" ], 2.);  (* a2 within its batch, h at submit *)
+      ([ "cache"; "misses" ], 8.);
+      ([ "cache"; "evictions" ], 4.);
+      ([ "computed" ], 7.);
+      ([ "rejected" ], 0.);
+      ([ "near"; "hits" ], 4.);
+      ([ "near"; "fallbacks" ], 0.);
+      ([ "near"; "latency"; "count" ], 4.);
+      ([ "near"; "latency"; "sum" ], 7.);
+      ([ "near"; "latency"; "max" ], 2.);
+      ([ "repair"; "total" ], 2.);
+      ([ "repair"; "warm" ], 1.);
+      ([ "repair"; "latency"; "count" ], 2.);
+      ([ "repair"; "latency"; "sum" ], 3.);
+      ([ "repair"; "latency"; "max" ], 2.);
+      ([ "totals"; "cache"; "hits" ], 2.);
+      ([ "totals"; "queue"; "computed" ], 7.);
+    ]
 
 (* --- determinism: cold jobs=1 ≡ warm ≡ jobs=2, enforced by qcheck --- *)
 
@@ -1049,6 +1250,8 @@ let suites =
           test_server_backend_cache_not_shared;
         Alcotest.test_case "line hygiene" `Quick test_server_handle_line_hygiene;
         Alcotest.test_case "rejections" `Quick test_server_rejections;
+        Alcotest.test_case "numeric input bounded at admission" `Quick
+          test_server_bounds_numeric_input;
         Alcotest.test_case "admission and displacement" `Quick
           test_server_admission_and_shedding;
         Alcotest.test_case "deadline shedding" `Quick test_server_deadline_shed;
@@ -1074,6 +1277,8 @@ let suites =
         Alcotest.test_case "repair drains a queued target" `Quick
           test_server_repair_drains_queued_target;
         Alcotest.test_case "repair errors" `Quick test_server_repair_errors;
+        Alcotest.test_case "cache accounting pinned across reuse paths" `Quick
+          test_cache_accounting_pinned;
         Alcotest.test_case "latency histogram tracks requests" `Quick
           test_latency_histogram_tracks_requests;
         prop_server_responses_invariant;

@@ -5,7 +5,6 @@
    cache disagreeing about a similarity candidate). *)
 
 module Json = Mfb_util.Json
-module Histogram = Mfb_util.Histogram
 module Cache_key = Mfb_server.Cache_key
 module Sim_index = Mfb_server.Sim_index
 module Server = Mfb_server.Server
@@ -354,14 +353,27 @@ let test_eviction_cold_recompute_path () =
     (Server.near_hit_counts s1);
   Alcotest.(check (pair int int)) "near-hit counted after eviction" (1, 0)
     (Server.near_hit_counts s2);
-  let h1 = Server.warm_latency_histogram s1
-  and h2 = Server.warm_latency_histogram s2 in
-  Alcotest.(check int) "one warm start (kept)" 1 (Histogram.count h1);
-  Alcotest.(check int) "one warm start (evicted)" 1 (Histogram.count h2);
+  let near_latency s k =
+    match
+      Option.bind
+        (Option.bind (Json.member "near" (Server.stats_json s))
+           (Json.member "latency"))
+        (Json.member k)
+    with
+    | Some (Json.Int i) -> float_of_int i
+    | Some (Json.Float f) -> f
+    | _ -> Alcotest.failf "stats lack near.latency.%s" k
+  in
+  Alcotest.(check (float 1e-9)) "one warm start (kept)" 1.0
+    (near_latency s1 "count");
+  Alcotest.(check (float 1e-9)) "one warm start (evicted)" 1.0
+    (near_latency s2 "count");
   Alcotest.(check (float 1e-9)) "kept seed observes 1 tick" 1.0
-    (Histogram.sum h1);
+    (near_latency s1 "sum");
   Alcotest.(check (float 1e-9)) "evicted seed observes 2 ticks" 2.0
-    (Histogram.sum h2)
+    (near_latency s2 "sum");
+  Alcotest.(check (float 1e-9)) "evicted seed max 2 ticks" 2.0
+    (near_latency s2 "max")
 
 let test_similarity_off_no_near_hits () =
   let s = Server.create { Server.default_config with cache_capacity = 128 } in
