@@ -26,30 +26,20 @@ module Client = Mfb_server.Client
 module Cluster = Mfb_cluster.Cluster
 module Fault = Mfb_cluster.Fault
 
-let arg_value name default parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
-    else scan (i + 1)
-  in
-  scan 0
-
-let requests = arg_value "--requests" 24 int_of_string_opt
-let fleet = arg_value "--fleet" 2 int_of_string_opt
-let seed = arg_value "--seed" 7 int_of_string_opt
-let rate = arg_value "--rate" 0.35 float_of_string_opt
-let timeout = arg_value "--timeout" 10.0 float_of_string_opt
-let out_file = arg_value "--out" "BENCH_cluster.json" (fun s -> Some s)
+let requests = Common.int "--requests" 24
+let fleet = Common.int "--fleet" 2
+let seed = Common.int "--seed" 7
+let rate = Common.float "--rate" 0.35
+let timeout = Common.float "--timeout" 10.0
+let out_file = Common.string "--out" "BENCH_cluster.json"
 
 let worker_bin =
-  arg_value "--worker-bin"
+  Common.string "--worker-bin"
     (Filename.concat
        (Filename.dirname Sys.executable_name)
        "../bin/dcsa_synth.exe")
-    (fun s -> Some s)
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+let () = Common.check ()
 
 (* The request script: PCR/IVD submissions with a small seed pool, so
    batches mix cache hits with fresh synthesis.  Pure function of
@@ -113,8 +103,8 @@ let replay ~cluster =
       match Client.call client (submit_of ~id ~bench ~job_seed) with
       | Ok (P.Submitted _) -> ()
       | Ok other ->
-        fail "submit %s: unexpected response %s" id (P.response_to_line other)
-      | Error e -> fail "submit %s: %s" id e)
+        Common.fail "submit %s: unexpected response %s" id (P.response_to_line other)
+      | Error e -> Common.fail "submit %s: %s" id e)
     script;
   List.iteri
     (fun i _ ->
@@ -124,8 +114,8 @@ let replay ~cluster =
        | Ok (P.Job_result { result; _ }) ->
          payloads := Json.to_string result :: !payloads
        | Ok other ->
-         fail "result %s: unexpected response %s" id (P.response_to_line other)
-       | Error e -> fail "result %s: %s" id e);
+         Common.fail "result %s: unexpected response %s" id (P.response_to_line other)
+       | Error e -> Common.fail "result %s: %s" id e);
       latencies.(i) <- (Unix.gettimeofday () -. r0) *. 1e3)
     script;
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -164,10 +154,6 @@ let with_fleet ~plan f =
       Option.iter Sys.remove plan_file)
     (fun () -> f cluster)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
 let counter name json =
   match Json.member name json with Some (Json.Int i) -> i | _ -> 0
 
@@ -175,8 +161,8 @@ let summary name (elapsed, latencies, _payloads, counters) =
   let sorted = Array.copy latencies in
   Array.sort compare sorted;
   let throughput = float_of_int requests /. elapsed in
-  let p50 = percentile sorted 0.50
-  and p95 = percentile sorted 0.95
+  let p50 = Common.percentile sorted 0.50
+  and p95 = Common.percentile sorted 0.95
   and worst = sorted.(Array.length sorted - 1) in
   let recovery =
     match counters with
@@ -205,10 +191,10 @@ let summary name (elapsed, latencies, _payloads, counters) =
     @ recovery)
 
 let () =
-  if requests < 1 then fail "--requests must be >= 1";
-  if fleet < 1 then fail "--fleet must be >= 1";
+  if requests < 1 then Common.fail "--requests must be >= 1";
+  if fleet < 1 then Common.fail "--fleet must be >= 1";
   if not (Sys.file_exists worker_bin) then
-    fail "worker binary %s not found (build first, or pass --worker-bin)"
+    Common.fail "worker binary %s not found (build first, or pass --worker-bin)"
       worker_bin;
   Printf.printf
     "worker-fleet chaos generator: %d requests, fleet=%d, fault rate \
@@ -224,10 +210,10 @@ let () =
   and (_, _, cp, _) = clean_run
   and (_, _, xp, _) = chaos_run in
   if bp <> cp then
-    fail "fleet transparency violated: clean-fleet payloads differ from \
+    Common.fail "fleet transparency violated: clean-fleet payloads differ from \
           baseline";
   if bp <> xp then
-    fail "fault transparency violated: chaos payloads differ from baseline";
+    Common.fail "fault transparency violated: chaos payloads differ from baseline";
   Printf.printf
     "\nfleet transparency: all %d payloads byte-identical across baseline \
      / clean / chaos\n"
@@ -237,7 +223,7 @@ let () =
      let respawns = counter "respawns" json
      and retries = counter "retries" json in
      if respawns = 0 || retries = 0 then
-       fail "chaos run showed no recovery (respawns=%d retries=%d): fault \
+       Common.fail "chaos run showed no recovery (respawns=%d retries=%d): fault \
              plan did not fire"
          respawns retries
    | _ -> ());

@@ -45,37 +45,29 @@ module P = Mfb_server.Protocol
 module Server = Mfb_server.Server
 module Client = Mfb_server.Client
 
-let arg_value name default parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
-    else scan (i + 1)
-  in
-  scan 0
-
-let requests = arg_value "--requests" 240 int_of_string_opt
-let repeat_fraction = arg_value "--repeat" 0.9 float_of_string_opt
-let hot_set = arg_value "--hot" 8 int_of_string_opt
-let jobs = arg_value "--jobs" 1 int_of_string_opt
-let seed = arg_value "--seed" 7 int_of_string_opt
-let out_file = arg_value "--out" "BENCH_server.json" (fun s -> Some s)
+let requests = Common.int "--requests" 240
+let repeat_fraction = Common.float "--repeat" 0.9
+let hot_set = Common.int "--hot" 8
+let jobs = Common.int "--jobs" 1
+let seed = Common.int "--seed" 7
+let out_file = Common.string "--out" "BENCH_server.json"
 
 (* TCP-mode knobs; either --connect or --port-file selects the mode. *)
-let connect_spec = arg_value "--connect" "" (fun s -> Some s)
-let port_file = arg_value "--port-file" "" (fun s -> Some s)
-let clients = arg_value "--clients" 4 int_of_string_opt
-let rate = arg_value "--rate" 50.0 float_of_string_opt
-let slo_p95 = arg_value "--slo-p95" 2000.0 float_of_string_opt
-let slo_p99 = arg_value "--slo-p99" 5000.0 float_of_string_opt
-let req_timeout = arg_value "--req-timeout" 30.0 float_of_string_opt
-let do_shutdown = Array.exists (fun a -> a = "--shutdown") Sys.argv
+let connect_spec = Common.string "--connect" ""
+let port_file = Common.string "--port-file" ""
+let clients = Common.int "--clients" 4
+let rate = Common.float "--rate" 50.0
+let slo_p95 = Common.float "--slo-p95" 2000.0
+let slo_p99 = Common.float "--slo-p99" 5000.0
+let req_timeout = Common.float "--req-timeout" 30.0
+let do_shutdown = Common.flag "--shutdown"
 let tcp_mode = connect_spec <> "" || port_file <> ""
 
 (* Edit-sequence knobs; --edits > 0 selects the mode. *)
-let edits = arg_value "--edits" 0 int_of_string_opt
-let edit_ops = arg_value "--edit-ops" 12 int_of_string_opt
-let edit_slo = arg_value "--edit-slo" 1.5 float_of_string_opt
+let edits = Common.int "--edits" 0
+let edit_ops = Common.int "--edit-ops" 12
+let edit_slo = Common.float "--edit-slo" 1.5
+let () = Common.check ()
 let edit_mode = edits > 0
 
 (* The request script: each entry is the seed override identifying a
@@ -106,8 +98,6 @@ let submit_of ~id ~job_seed =
       trace = None;
     }
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
 (* Replay the script: submit + result per entry, recording per-request
    latency both client-side (gettimeofday around the round trip) and
    server-side (the wall-clock latency histogram).  Returns
@@ -134,28 +124,24 @@ let replay ~cache_capacity =
       (match Client.call client (submit_of ~id ~job_seed) with
        | Ok (P.Submitted _) -> ()
        | Ok other ->
-         fail "request %s: unexpected response %s" id (P.response_to_line other)
-       | Error e -> fail "request %s: %s" id e);
+         Common.fail "request %s: unexpected response %s" id (P.response_to_line other)
+       | Error e -> Common.fail "request %s: %s" id e);
       (match Client.call client (P.Result id) with
        | Ok (P.Job_result { result; _ }) ->
          payloads := Json.to_string result :: !payloads
        | Ok other ->
-         fail "result %s: unexpected response %s" id (P.response_to_line other)
-       | Error e -> fail "result %s: %s" id e);
+         Common.fail "result %s: unexpected response %s" id (P.response_to_line other)
+       | Error e -> Common.fail "result %s: %s" id e);
       latencies.(i) <- (Unix.gettimeofday () -. r0) *. 1e3)
     script;
   let elapsed = Unix.gettimeofday () -. t0 in
   let stats = Server.stats_json server in
   let hist = Server.latency_histogram server in
   if Mfb_util.Histogram.count hist <> requests then
-    fail "server latency histogram recorded %d of %d requests"
+    Common.fail "server latency histogram recorded %d of %d requests"
       (Mfb_util.Histogram.count hist) requests;
   (elapsed, latencies, List.rev !payloads, stats,
    Mfb_util.Histogram.snapshot_json hist)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
 let rec int_at path json =
   match path with
@@ -173,9 +159,9 @@ let summary name (elapsed, latencies, _payloads, stats, server_latency) =
     else float_of_int hits /. float_of_int (hits + misses)
   in
   let throughput = float_of_int requests /. elapsed in
-  let p50 = percentile sorted 0.50
-  and p95 = percentile sorted 0.95
-  and p99 = percentile sorted 0.99
+  let p50 = Common.percentile sorted 0.50
+  and p95 = Common.percentile sorted 0.95
+  and p99 = Common.percentile sorted 0.99
   and lmax = sorted.(Array.length sorted - 1) in
   let computed = int_at [ "computed" ] stats in
   let shed =
@@ -237,16 +223,16 @@ let resolve_endpoint () =
               (String.length connect_spec - i - 1))
        with
        | Some p -> (host, p)
-       | None -> fail "--connect: bad port in %S" connect_spec)
+       | None -> Common.fail "--connect: bad port in %S" connect_spec)
     | None ->
       (match int_of_string_opt connect_spec with
        | Some p -> ("127.0.0.1", p)
-       | None -> fail "--connect expects HOST:PORT or PORT")
+       | None -> Common.fail "--connect expects HOST:PORT or PORT")
   end
   else
     match Mfb_net.Tcp_client.wait_port_file port_file with
     | Ok p -> ("127.0.0.1", p)
-    | Error e -> fail "%s" e
+    | Error e -> Common.fail "%s" e
 
 let write_all fd s =
   let n = String.length s in
@@ -270,9 +256,9 @@ let quantiles_json latencies =
     Json.Obj
       [
         ("count", Json.Int (Array.length sorted));
-        ("p50_ms", Json.Float (percentile sorted 0.50));
-        ("p95_ms", Json.Float (percentile sorted 0.95));
-        ("p99_ms", Json.Float (percentile sorted 0.99));
+        ("p50_ms", Json.Float (Common.percentile sorted 0.50));
+        ("p95_ms", Json.Float (Common.percentile sorted 0.95));
+        ("p99_ms", Json.Float (Common.percentile sorted 0.99));
         ("max_ms", Json.Float sorted.(Array.length sorted - 1));
       ]
 
@@ -350,15 +336,15 @@ let replay_edits ~similarity ~jobs texts =
       (match Client.call client (submit_edit ~id ~text) with
        | Ok (P.Submitted _) -> ()
        | Ok other ->
-         fail "edit %s: unexpected response %s" id (P.response_to_line other)
-       | Error e -> fail "edit %s: %s" id e);
+         Common.fail "edit %s: unexpected response %s" id (P.response_to_line other)
+       | Error e -> Common.fail "edit %s: %s" id e);
       (match Client.call client (P.Result id) with
        | Ok (P.Job_result { result; _ }) ->
          payloads := Json.to_string result :: !payloads
        | Ok other ->
-         fail "edit result %s: unexpected response %s" id
+         Common.fail "edit result %s: unexpected response %s" id
            (P.response_to_line other)
-       | Error e -> fail "edit result %s: %s" id e);
+       | Error e -> Common.fail "edit result %s: %s" id e);
       latencies.(i) <- (Unix.gettimeofday () -. r0) *. 1e3)
     texts;
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -375,8 +361,8 @@ let exec_time_of payload =
   | Error _ -> Float.nan
 
 let run_edits () =
-  if edits < 1 then fail "--edits must be >= 1";
-  if edit_ops < 2 then fail "--edit-ops must be >= 2";
+  if edits < 1 then Common.fail "--edits must be >= 1";
+  if edit_ops < 2 then Common.fail "--edit-ops must be >= 2";
   Printf.printf
     "edit-sequence workload: base + %d single-op edits over a %d-op chain, \
      seed=%d\n\n"
@@ -407,7 +393,7 @@ let run_edits () =
   let pq l p =
     let s = Array.copy l in
     Array.sort compare s;
-    percentile s p
+    Common.percentile s p
   in
   Printf.printf
     "warm       %6.2f s   p50 %6.2f ms   p95 %6.2f ms   near-hits %d   \
@@ -464,13 +450,13 @@ let run_edits () =
       Json.to_channel ~indent:1 oc doc);
   Printf.eprintf "wrote %s\n" out_file;
   if divergences > 0 then
-    fail "warm payloads diverge across --jobs values (%d divergence(s))"
+    Common.fail "warm payloads diverge across --jobs values (%d divergence(s))"
       divergences;
   if !breaches > 0 then
-    fail "%d warm result(s) exceeded the quality delta %.2f" !breaches delta;
-  if near = 0 then fail "similarity cache never warm-started a request";
+    Common.fail "%d warm result(s) exceeded the quality delta %.2f" !breaches delta;
+  if near = 0 then Common.fail "similarity cache never warm-started a request";
   if speedup < edit_slo then
-    fail "edit SLO breach: warm speedup %.2fx < %.2fx" speedup edit_slo
+    Common.fail "edit SLO breach: warm speedup %.2fx < %.2fx" speedup edit_slo
 
 let run_tcp ~host ~port =
   let n = requests in
@@ -716,10 +702,10 @@ let run_tcp ~host ~port =
   Array.sort compare agg_sorted;
   let agg_p95 =
     if Array.length agg_sorted = 0 then Float.infinity
-    else percentile agg_sorted 0.95
+    else Common.percentile agg_sorted 0.95
   and agg_p99 =
     if Array.length agg_sorted = 0 then Float.infinity
-    else percentile agg_sorted 0.99
+    else Common.percentile agg_sorted 0.99
   in
   let slo_pass =
     Array.length completed > 0 && agg_p95 <= slo_p95 && agg_p99 <= slo_p99
@@ -750,7 +736,7 @@ let run_tcp ~host ~port =
     Printf.printf
       "aggregate p50 %6.2f ms   p95 %6.2f ms   p99 %6.2f ms   max %6.2f \
        ms   SLO(p95<=%.0f, p99<=%.0f) %s\n"
-      (percentile agg_sorted 0.50) agg_p95 agg_p99
+      (Common.percentile agg_sorted 0.50) agg_p95 agg_p99
       agg_sorted.(Array.length agg_sorted - 1)
       slo_p95 slo_p99
       (if slo_pass then "PASS" else "FAIL");
@@ -801,25 +787,25 @@ let run_tcp ~host ~port =
   Out_channel.with_open_text out_file (fun oc ->
       Json.to_channel ~indent:1 oc doc);
   Printf.eprintf "wrote %s\n" out_file;
-  if not !identical then fail "cross-client payload divergence";
+  if not !identical then Common.fail "cross-client payload divergence";
   if total_errors > 0 then
-    fail "%d transport error(s): refused %d, reset %d, timeout %d, other %d"
+    Common.fail "%d transport error(s): refused %d, reset %d, timeout %d, other %d"
       total_errors (err_count Refused) (err_count Reset) (err_count Timeout)
       (err_count Other);
   if not slo_pass then
-    fail "SLO breach: p95 %.2f ms (<= %.2f), p99 %.2f ms (<= %.2f)" agg_p95
+    Common.fail "SLO breach: p95 %.2f ms (<= %.2f), p99 %.2f ms (<= %.2f)" agg_p95
       slo_p95 agg_p99 slo_p99
 
 let () =
-  if requests < 1 then fail "--requests must be >= 1";
+  if requests < 1 then Common.fail "--requests must be >= 1";
   if edit_mode then begin
-    if tcp_mode then fail "--edits is incompatible with TCP mode";
+    if tcp_mode then Common.fail "--edits is incompatible with TCP mode";
     run_edits ();
     exit 0
   end;
   if tcp_mode then begin
-    if clients < 1 then fail "--clients must be >= 1";
-    if rate <= 0.0 then fail "--rate must be positive";
+    if clients < 1 then Common.fail "--clients must be >= 1";
+    if rate <= 0.0 then Common.fail "--rate must be positive";
     let host, port = resolve_endpoint () in
     run_tcp ~host ~port;
     exit 0
@@ -833,7 +819,7 @@ let () =
   let cached = summary "cached" cached_run in
   let nocache = summary "no-cache" nocache_run in
   let (ce, _, cp, _, _) = cached_run and (ne, _, np, _, _) = nocache_run in
-  if cp <> np then fail "cache transparency violated: payloads differ";
+  if cp <> np then Common.fail "cache transparency violated: payloads differ";
   Printf.printf "\ncache transparency: all %d payloads byte-identical\n"
     requests;
   let speedup = ne /. ce in

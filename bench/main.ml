@@ -20,26 +20,25 @@ let section title =
 (* --jobs N on the command line; defaults to the host's recommended
    domain count.  Every parallel section is deterministic in the result,
    so the flag only moves wall-clock time. *)
-let jobs =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--jobs" then int_of_string_opt Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  match scan 0 with
-  | Some j when j >= 1 -> j
-  | Some _ | None -> Mfb_util.Pool.default_jobs ()
+let jobs = Common.int "--jobs" (Mfb_util.Pool.default_jobs ())
 
 (* --trace FILE records telemetry over the whole harness run and writes
    a Chrome trace_event JSON (open in Perfetto; validate with
    'dcsa-synth trace FILE'). *)
-let trace_file =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--trace" then Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 0
+let trace_file = Common.string_opt "--trace"
+
+(* --hotpath-only: run just the hot-path counter section (CI smoke);
+   the exit status reports the >= 3x term-reduction target.
+   --exact-only: run just the heuristic-vs-exact oracle section (CI
+   exact-oracle job); the exit status reports the never-worse and
+   gap-populated targets. *)
+let hotpath_only = Common.flag "--hotpath-only"
+let exact_only = Common.flag "--exact-only"
+let no_bechamel = Common.flag "--no-bechamel"
+
+let () =
+  Common.check ();
+  if jobs < 1 then Common.usage_error "--jobs expects a positive integer"
 
 let trace_sink =
   match trace_file with
@@ -643,7 +642,7 @@ let physical_validation config pairs =
       in
       let y =
         Mfb_route.Repair.single_defect_yield ~we:config.we ~tc:config.tc
-          ours.chip ours.schedule ours.routing
+          ours.chip ours.routing
       in
       Table.add_row table
         [
@@ -901,17 +900,12 @@ let () =
      tc=%.1f we=%.0f jobs=%d\n"
     config.sa.alpha config.beta config.gamma config.sa.t0 config.sa.i_max
     config.sa.t_min config.tc config.we jobs;
-  (* --hotpath-only: run just the hot-path counter section (CI smoke);
-     the exit status reports the >= 3x term-reduction target. *)
-  if Array.mem "--hotpath-only" Sys.argv then begin
+  if hotpath_only then begin
     let met = hotpath_section config in
     write_trace ();
     exit (if met then 0 else 1)
   end;
-  (* --exact-only: run just the heuristic-vs-exact oracle section (CI
-     exact-oracle job); the exit status reports the never-worse and
-     gap-populated targets. *)
-  if Array.mem "--exact-only" Sys.argv then begin
+  if exact_only then begin
     let met = exact_comparison config in
     write_trace ();
     exit (if met then 0 else 1)
@@ -933,5 +927,5 @@ let () =
   allocation_exploration config;
   io_study config;
   physical_validation config pairs;
-  if not (Array.mem "--no-bechamel" Sys.argv) then run_bechamel config pairs;
+  if not no_bechamel then run_bechamel config pairs;
   write_trace ()

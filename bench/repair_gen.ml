@@ -28,25 +28,14 @@ module Json = Mfb_util.Json
 module Defect = Mfb_repair.Defect
 module Plan = Mfb_repair.Plan
 
-let arg_value name default parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
-    else scan (i + 1)
-  in
-  scan 0
-
 let benchmarks =
-  arg_value "--benchmarks" [ "PCR"; "IVD" ] (fun s ->
-      Some (String.split_on_char ',' s))
+  String.split_on_char ',' (Common.string "--benchmarks" "PCR,IVD")
 
-let defects = arg_value "--defects" 10 int_of_string_opt
-let seed = arg_value "--seed" 7 int_of_string_opt
-let slo_x = arg_value "--slo-x" 1.0 float_of_string_opt
-let out_file = arg_value "--out" "BENCH_repair.json" (fun s -> Some s)
-
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+let defects = Common.int "--defects" 10
+let seed = Common.int "--seed" 7
+let slo_x = Common.float "--slo-x" 1.0
+let out_file = Common.string "--out" "BENCH_repair.json"
+let () = Common.check ()
 
 let config = Mfb_core.Config.default
 
@@ -70,7 +59,7 @@ let repair_checked ~bench (r : Mfb_core.Result.t) targets =
     match Plan.verify ~config ~defects:targets o with
     | [] -> o
     | errs ->
-      fail "%s: legality violation repairing [%s]:\n  %s" bench
+      Common.fail "%s: legality violation repairing [%s]:\n  %s" bench
         (String.concat " " (List.map Defect.target_to_string targets))
         (String.concat "\n  " errs)
   end
@@ -121,7 +110,7 @@ let bench_one name =
   let inst =
     match Mfb_core.Suite.find name with
     | Some i -> i
-    | None -> fail "unknown benchmark %S" name
+    | None -> Common.fail "unknown benchmark %S" name
   in
   let synth () =
     Mfb_core.Flow.run ~config ~jobs:1 inst.graph inst.allocation
@@ -202,7 +191,7 @@ let bench_one name =
   (json, speedup)
 
 let () =
-  if defects < 1 then fail "--defects must be >= 1";
+  if defects < 1 then Common.fail "--defects must be >= 1";
   Printf.printf
     "repair generator: %d seeded defects per model, benchmarks %s, seed=%d\n\n"
     defects
@@ -243,5 +232,5 @@ let () =
       Json.to_channel ~indent:1 oc doc);
   Printf.eprintf "wrote %s\n" out_file;
   if not slo_ok then
-    fail "SLO breach: warm repair speedup %.2fx < required %.2fx"
+    Common.fail "SLO breach: warm repair speedup %.2fx < required %.2fx"
       worst_speedup slo_x

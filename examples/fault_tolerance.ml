@@ -16,7 +16,7 @@ let () =
       let r = Mfb_core.Flow.run ~config:cfg inst.graph inst.allocation in
       let y =
         Mfb_route.Repair.single_defect_yield ~we:cfg.we ~tc:cfg.tc r.chip
-          r.schedule r.routing
+          r.routing
       in
       Printf.printf "  %-11s %3.0f%%  (%d of %d defects survivable)\n"
         r.benchmark (100. *. y.yield) y.survived y.cells_tested;

@@ -5,9 +5,15 @@ let make ~name ~diffusion =
     invalid_arg "Fluid.make: diffusion must be positive and finite";
   { name; diffusion; wash_override = None }
 
+let max_time = 1e6
+
 let with_wash_time f w =
   if not (Float.is_finite w) || w <= 0. then
     invalid_arg "Fluid.with_wash_time: wash time must be positive and finite";
+  if w > max_time then
+    invalid_arg
+      (Printf.sprintf "Fluid.with_wash_time: wash time must be <= %g s"
+         max_time);
   { f with wash_override = Some w }
 
 (* Log-linear fit through (1e-5, 0.2 s) and (5e-8, 6.0 s):
@@ -42,7 +48,6 @@ let of_palette i =
   let n = Array.length palette in
   palette.(((i mod n) + n) mod n)
 
-let compare_diffusion a b = Float.compare a.diffusion b.diffusion
 
 let equal a b =
   String.equal a.name b.name && a.diffusion = b.diffusion

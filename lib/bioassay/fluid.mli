@@ -18,10 +18,17 @@ type t = {
 val make : name:string -> diffusion:float -> t
 (** @raise Invalid_argument if [diffusion <= 0] or not finite. *)
 
+val max_time : float
+(** Ceiling, in seconds (1e6), on every time an assay carries — wash
+    overrides here, operation durations in {!Operation.make} — and on the
+    transport time [tc] ([Mfb_core.Config.max_tc]).  Bounding them at
+    admission keeps every schedule interval finite. *)
+
 val with_wash_time : t -> float -> t
 (** [with_wash_time f w] pins the wash time of [f] to the measured value
     [w], as in the paper's Fig. 2(b) table.
-    @raise Invalid_argument if [w <= 0] or not finite. *)
+    @raise Invalid_argument if [w <= 0], not finite or above
+    {!max_time}. *)
 
 val wash_time_of_diffusion : float -> float
 (** [wash_time_of_diffusion d] is the buffer-flush time in seconds needed
@@ -40,9 +47,6 @@ val palette : t array
 
 val of_palette : int -> t
 (** [of_palette i] is [palette.(i mod Array.length palette)]. *)
-
-val compare_diffusion : t -> t -> int
-(** Ascending by diffusion coefficient (hardest-to-wash first). *)
 
 val equal : t -> t -> bool
 

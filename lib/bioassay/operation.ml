@@ -6,6 +6,10 @@ let make ~id ~kind ~duration ~output =
   if id < 0 then invalid_arg "Operation.make: negative id";
   if not (Float.is_finite duration) || duration <= 0. then
     invalid_arg "Operation.make: duration must be positive";
+  if duration > Fluid.max_time then
+    invalid_arg
+      (Printf.sprintf "Operation.make: duration must be <= %g s"
+         Fluid.max_time);
   { id; kind; duration; output }
 
 let kind_to_string = function

@@ -14,7 +14,8 @@ type t = {
 }
 
 val make : id:int -> kind:kind -> duration:float -> output:Fluid.t -> t
-(** @raise Invalid_argument if [duration <= 0] or [id < 0]. *)
+(** @raise Invalid_argument if [id < 0] or [duration] is not in
+    (0, {!Fluid.max_time}]. *)
 
 val kind_to_string : kind -> string
 

@@ -39,7 +39,7 @@ let to_json cfg =
       ("exact_fuel", J.Int cfg.exact_fuel);
     ]
 
-let max_tc = 1e6
+let max_tc = Mfb_bioassay.Fluid.max_time
 
 let max_sa_restarts = 1024
 

@@ -23,8 +23,9 @@ type t = {
 val default : t
 
 val max_tc : float
-(** Largest accepted [tc] (s): low enough that schedule sums over any
-    assay stay finite. *)
+(** Largest accepted [tc] (s): {!Mfb_bioassay.Fluid.max_time}, the same
+    ceiling as operation durations and wash overrides, low enough that
+    schedule sums over any assay stay finite. *)
 
 val max_sa_restarts : int
 (** Largest accepted [sa_restarts], so one request cannot ask for

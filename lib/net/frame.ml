@@ -49,4 +49,3 @@ let close t =
 
 let next t = Queue.take_opt t.ready
 
-let buffered t = Buffer.length t.cur

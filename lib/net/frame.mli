@@ -43,6 +43,3 @@ val next : t -> event option
 (** Pop the next completed frame, oldest first; [None] when every fed
     byte has been consumed or is part of a still-incomplete line. *)
 
-val buffered : t -> int
-(** Bytes of the current incomplete line held in memory (bounded by
-    [max_bytes]); diagnostic only. *)

@@ -54,4 +54,3 @@ val scanline : Mfb_component.Component.t array -> t
 
 val copy : t -> t
 
-val pp : Format.formatter -> t -> unit

@@ -6,15 +6,6 @@
 
 type undo = unit -> unit
 
-val translate : Mfb_util.Rng.t -> Chip.t -> undo option
-(** Move one random component to a random in-bounds anchor. *)
-
-val rotate : Mfb_util.Rng.t -> Chip.t -> undo option
-(** Toggle the orientation of one random component. *)
-
-val swap : Mfb_util.Rng.t -> Chip.t -> undo option
-(** Exchange the anchors of two random components. *)
-
 val random_move : Mfb_util.Rng.t -> Chip.t -> undo option
 (** One of the three moves, weighted 3:1:2
     (translate : rotate : swap). *)

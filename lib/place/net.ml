@@ -43,6 +43,3 @@ let connection_priority ~beta ~gamma net =
 let task_count nets =
   List.fold_left (fun acc net -> acc + List.length net.tasks) 0 nets
 
-let pp ppf net =
-  Format.fprintf ppf "net c%d-c%d (%d tasks)" net.a net.b
-    (List.length net.tasks)

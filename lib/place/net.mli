@@ -25,4 +25,3 @@ val connection_priority : beta:float -> gamma:float -> t -> float
 
 val task_count : t list -> int
 
-val pp : Format.formatter -> t -> unit

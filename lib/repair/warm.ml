@@ -6,8 +6,8 @@
    and routing is cheap.  So a warm start re-runs the schedule stage
    exactly as the cold flow would, keeps the cached chip verbatim, and
    re-routes on it — replaying every cached task whose transport the
-   edit left intact and sending the invalidated rest through the repair
-   ladder ({!Plan.route_one}).
+   edit left intact and sending the invalidated rest through the shared
+   re-route ladder ({!Mfb_route.Repair.reroute}).
 
    The quality gate is sound without ever running the cold flow: the
    warm schedule equals the cold pre-routing schedule (same
@@ -22,6 +22,7 @@ module Portfolio = Mfb_schedule.Portfolio
 module Chip = Mfb_place.Chip
 module Routed = Mfb_route.Routed
 module Rgrid = Mfb_route.Rgrid
+module Repair = Mfb_route.Repair
 module Telemetry = Mfb_util.Telemetry
 
 type report = {
@@ -83,49 +84,36 @@ let synthesize ~(config : Mfb_core.Config.t)
           Rgrid.conflict_free grid cell iv t.transport.Types.fluid)
         (Routed.occupancy ~tc t)
     in
-    let fresh_task tr =
-      { Routed.transport = tr; kind = Routed.Transport; path = [ (0, 0) ];
-        delay = 0.; pre_wash = 0.; washed_cells = 0 }
-    in
     let reroute tr (inw, dly) =
-      match Plan.route_one grid ~tc ~is_defect:no_defect (fresh_task tr) tr with
-      | Plan.In_window t -> (t, (inw + 1, dly))
-      | Plan.Delayed t -> (t, (inw, dly + 1))
-      | Plan.Unroutable ->
+      match
+        Repair.reroute grid ~tc ~is_defect:no_defect Routed.Transport tr
+          ~delay:0.
+      with
+      | Repair.In_window t -> (t, (inw + 1, dly))
+      | Repair.Delayed t -> (t, (inw, dly + 1))
+      | Repair.Unroutable ->
         raise
           (Cold
              (Printf.sprintf "transport (%d,%d) unroutable on cached chip"
                 (fst tr.Types.edge) (snd tr.Types.edge)))
     in
-    (* Commit in the cold router's order (removal, then departure) so a
-       distance-0 replay reproduces the cached grid evolution — and
-       therefore the cached wash measures and summary — byte for byte. *)
-    let ordered =
-      List.sort
-        (fun (a : Types.transport) b ->
-          let c = Float.compare a.removal b.removal in
-          if c <> 0 then c else Float.compare a.depart b.depart)
-        sched.Types.transports
-    in
+    (* Commit in the cold router's order so a distance-0 replay
+       reproduces the cached grid evolution — and therefore the cached
+       wash measures and summary — byte for byte. *)
     let rev_tasks, reused, (rerouted, rerouted_delayed) =
       List.fold_left
         (fun (acc, reused, ladder) (tr : Types.transport) ->
           match take tr with
-          | Some t0 ->
-            let cand = { t0 with pre_wash = 0.; washed_cells = 0 } in
-            if replayable cand then begin
-              let pre_wash, washed_cells = Routed.measure_wash grid ~tc cand in
-              let t = { cand with pre_wash; washed_cells } in
-              Routed.commit grid ~tc t;
-              (t :: acc, reused + 1, ladder)
-            end
-            else
-              let t, ladder = reroute tr ladder in
-              (t :: acc, reused, ladder)
-          | None ->
+          | Some t0 when replayable t0 ->
+            let t =
+              Routed.commit_task grid ~tc t0.kind tr ~path:t0.path
+                ~delay:t0.delay
+            in
+            (t :: acc, reused + 1, ladder)
+          | Some _ | None ->
             let t, ladder = reroute tr ladder in
             (t :: acc, reused, ladder))
-        ([], 0, (0, 0)) ordered
+        ([], 0, (0, 0)) (Routed.commit_order sched)
     in
     let routing = Routed.finalize grid rev_tasks ~unresolved:0 in
     (* Postponements feed back into the schedule exactly as the cold

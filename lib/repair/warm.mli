@@ -13,8 +13,9 @@
     + {b routing} replays every cached task whose transport the edit
       left byte-identical (window, endpoints, fluid), re-validating its
       occupancy against the rebuilt grid, and sends invalidated or new
-      transports through the repair ladder ({!Plan.route_one}:
-      in-window, bounded delay, settle fallback); extra postponements
+      transports through the shared re-route ladder
+      ({!Mfb_route.Repair.reroute}: in-window, bounded delay, settle
+      fallback); extra postponements
       retime the schedule exactly as the cold flow does.
 
     {2 Proof obligations}

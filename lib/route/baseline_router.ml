@@ -1,27 +1,17 @@
 module Interval = Mfb_util.Interval
 module Types = Mfb_schedule.Types
 
-let sorted_transports (sched : Types.t) =
-  List.sort
-    (fun (a : Types.transport) b ->
-      let c = Float.compare a.removal b.removal in
-      if c <> 0 then c else Float.compare a.depart b.depart)
-    sched.transports
-
-let correct_task grid ~tc (tr : Types.transport) initial_path =
-  let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
-  let conflict_free_path path =
-    List.for_all (Routed.usable grid ~tc tr ~delay:0. ~src_ports:srcs) path
-  in
-  if conflict_free_path initial_path then (initial_path, 0., false)
+let correct_task grid (tr : Types.transport) initial_path =
+  let srcs, dsts = Routed.endpoints grid Routed.Transport tr in
+  let usable = Routed.usable grid tr ~delay:0. ~src_ports:srcs in
+  if List.for_all usable initial_path then (initial_path, 0., false)
   else begin
     (* Correction step 1: conflict-aware re-route (unweighted cost). *)
-    let usable xy = Routed.usable grid ~tc tr ~delay:0. ~src_ports:srcs xy in
     match Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights:false with
     | Some path -> (path, 0., false)
     | None ->
       (* Correction step 2: postpone along the original path. *)
-      (match Routed.settle_delay grid ~tc tr ~src_ports:srcs initial_path with
+      (match Routed.settle_delay grid tr ~src_ports:srcs initial_path with
        | Some delay -> (initial_path, delay, false)
        | None -> (initial_path, 0., true))
   end
@@ -29,12 +19,11 @@ let correct_task grid ~tc (tr : Types.transport) initial_path =
 let route ?(route_io = false) ~we ~tc chip (sched : Types.t) =
   if tc <= 0. then invalid_arg "Baseline_router.route: tc must be positive";
   let grid = Rgrid.create ~we chip in
-  let transports = sorted_transports sched in
   (* Construction: conflict-oblivious shortest paths. *)
   let initial =
     List.map
       (fun (tr : Types.transport) ->
-        let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
+        let srcs, dsts = Routed.endpoints grid Routed.Transport tr in
         let usable xy = not (Rgrid.blocked grid xy) in
         let path =
           match
@@ -44,26 +33,18 @@ let route ?(route_io = false) ~we ~tc chip (sched : Types.t) =
           | None -> [ List.hd srcs; List.hd dsts ]
         in
         (tr, path))
-      transports
+      (Routed.commit_order sched)
   in
   (* Correction: sequential repair against committed occupations. *)
   let tasks, unresolved =
     List.fold_left
       (fun (tasks, unresolved) (tr, initial_path) ->
-        let path, delay, failed = correct_task grid ~tc tr initial_path in
+        let path, delay, failed = correct_task grid tr initial_path in
         let task =
-          { Routed.transport = tr; kind = Routed.Transport; path; delay;
-            pre_wash = 0.; washed_cells = 0 }
+          Routed.commit_task ~weight_update:false grid ~tc Routed.Transport
+            tr ~path ~delay
         in
-        let pre_wash, washed_cells = Routed.measure_wash grid ~tc task in
-        let task = { task with pre_wash; washed_cells } in
-        Routed.commit ~weight_update:false grid ~tc task;
         (task :: tasks, if failed then unresolved + 1 else unresolved))
       ([], 0) initial
   in
-  let io, io_unresolved =
-    if route_io then Io_router.route_all ~weight_update:false grid ~tc sched
-    else ([], 0)
-  in
-  Routed.finalize grid (List.rev_append io tasks)
-    ~unresolved:(unresolved + io_unresolved)
+  Io_router.finalize ~weight_update:false ~route_io grid ~tc sched tasks ~unresolved

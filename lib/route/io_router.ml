@@ -34,15 +34,6 @@ let templates ~tc (sched : Types.t) =
   |> List.sort (fun ((a : Types.transport), _) (b, _) ->
          Float.compare a.removal b.removal)
 
-let border_cells grid =
-  let w = Rgrid.width grid and h = Rgrid.height grid in
-  let top = List.init w (fun x -> (x, 0)) in
-  let bottom = List.init w (fun x -> (x, h - 1)) in
-  let left = List.init h (fun y -> (0, y)) in
-  let right = List.init h (fun y -> (w - 1, y)) in
-  List.filter (fun xy -> not (Rgrid.blocked grid xy))
-    (top @ bottom @ left @ right)
-
 (* Slack lets an io run avoid busy windows without touching the schedule:
    a dispense may leave its reservoir early and stage in the channel; a
    waste run may stay in its component while the component is not needed
@@ -81,33 +72,26 @@ let waste_deadline (sched : Types.t) op =
 
 let route_one ?(weight_update = true) grid ~tc ~deadline
     (tr : Types.transport) kind =
-  let component_ports = Rgrid.ports grid tr.src in
-  let border = border_cells grid in
-  let srcs, dsts =
+  let srcs, dsts = Routed.endpoints grid kind tr in
+  (* A dispense's staging cell sits near the (path-dependent) inlet, so
+     it needs the conservative full window everywhere; a waste run's
+     source-side parking matches the occupancy model exactly. *)
+  let usable_for (tr' : Types.transport) ~delay xy =
     match (kind : Routed.kind) with
-    | Dispense -> (border, component_ports)
-    | Waste | Transport -> (component_ports, border)
-  in
-  let usable_for (tr' : Types.transport) xy =
-    match (kind : Routed.kind) with
-    | Waste | Transport ->
-      (* Source-side parking matches the occupancy model exactly. *)
-      Routed.usable grid ~tc tr' ~delay:0. ~src_ports:component_ports xy
+    | Waste | Transport -> Routed.usable grid tr' ~delay ~src_ports:srcs xy
     | Dispense ->
-      (* The staging cell sits near the (path-dependent) inlet, so require
-         the conservative full window everywhere. *)
-      List.for_all
-        (fun iv -> Rgrid.conflict_free grid xy iv tr'.fluid)
-        (Routed.windows ~tc tr' ~delay:0. ~near_src:true)
+      Rgrid.conflict_free grid xy
+        (Routed.window tr' ~delay ~near_src:true)
+        tr'.fluid
+  in
+  let search usable ~use_weights =
+    Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights
   in
   let attempt slack =
     let tr' = with_slack kind ~deadline tr slack in
-    match
-      Astar.search_multi grid ~srcs ~dsts ~usable:(usable_for tr')
-        ~use_weights:weight_update
-    with
-    | Some path -> Some (tr', 0., path)
-    | None -> None
+    Option.map
+      (fun path -> (tr', 0., path))
+      (search (usable_for tr' ~delay:0.) ~use_weights:weight_update)
   in
   (* When a dispense is boxed in during its window, arriving late is legal
      — it simply pushes the operation's start; the caller feeds the delay
@@ -116,17 +100,9 @@ let route_one ?(weight_update = true) grid ~tc ~deadline
     match (kind : Routed.kind) with
     | Waste | Transport -> None
     | Dispense ->
-      let usable xy =
-        List.for_all
-          (fun iv -> Rgrid.conflict_free grid xy iv tr.fluid)
-          (Routed.windows ~tc tr ~delay ~near_src:true)
-      in
-      (match
-         Astar.search_multi grid ~srcs ~dsts ~usable
-           ~use_weights:weight_update
-       with
-       | Some path -> Some (tr, delay, path)
-       | None -> None)
+      Option.map
+        (fun path -> (tr, delay, path))
+        (search (usable_for tr ~delay) ~use_weights:weight_update)
   in
   let routed =
     match List.find_map attempt slacks with
@@ -140,36 +116,33 @@ let route_one ?(weight_update = true) grid ~tc ~deadline
     | None ->
       (* Best effort: tolerate the residual conflict rather than perturb
          the schedule (rare; reported through [unresolved]). *)
-      let unblocked xy = not (Rgrid.blocked grid xy) in
       ( Option.map
           (fun path -> (tr, 0., path))
-          (Astar.search_multi grid ~srcs ~dsts ~usable:unblocked
-             ~use_weights:false),
+          (search (fun xy -> not (Rgrid.blocked grid xy)) ~use_weights:false),
         true )
   in
-  match routed with
-  | None -> None (* landlocked component: cannot happen on Chip layouts *)
-  | Some (tr', delay, path) ->
-    let task =
-      { Routed.transport = tr'; kind; path; delay; pre_wash = 0.;
-        washed_cells = 0 }
-    in
-    let pre_wash, washed_cells = Routed.measure_wash grid ~tc task in
-    let task = { task with pre_wash; washed_cells } in
-    Routed.commit ~weight_update grid ~tc task;
-    Some (task, best_effort)
+  Option.map
+    (fun (tr', delay, path) ->
+      (Routed.commit_task ~weight_update grid ~tc kind tr' ~path ~delay,
+       best_effort))
+    routed (* [None]: landlocked component, impossible on Chip layouts *)
 
-let route_all ?(weight_update = true) grid ~tc (sched : Types.t) =
-  let routed =
-    List.filter_map
-      (fun ((tr : Types.transport), kind) ->
-        let deadline =
-          match (kind : Routed.kind) with
-          | Waste -> waste_deadline sched (fst tr.edge)
-          | Dispense | Transport -> tr.removal
-        in
-        route_one ~weight_update grid ~tc ~deadline tr kind)
-      (templates ~tc sched)
+let finalize ?(weight_update = true) ~route_io grid ~tc (sched : Types.t)
+    rev_tasks ~unresolved =
+  let io =
+    if not route_io then []
+    else
+      List.filter_map
+        (fun ((tr : Types.transport), kind) ->
+          let deadline =
+            match (kind : Routed.kind) with
+            | Waste -> waste_deadline sched (fst tr.edge)
+            | Dispense | Transport -> tr.removal
+          in
+          route_one ~weight_update grid ~tc ~deadline tr kind)
+        (templates ~tc sched)
   in
-  ( List.map fst routed,
-    List.length (List.filter (fun (_, be) -> be) routed) )
+  let best_effort = List.length (List.filter snd io) in
+  Routed.finalize grid
+    (List.rev_append (List.map fst io) rev_tasks)
+    ~unresolved:(unresolved + best_effort)

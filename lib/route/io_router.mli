@@ -10,10 +10,6 @@
     operation (named ["input-oN"], diffusion drawn from the palette);
     the waste run carries the sink's output fluid. *)
 
-val border_cells : Rgrid.t -> (int * int) list
-(** Unblocked cells on the chip edge — reservoir/outlet attachment
-    points. *)
-
 val templates :
   tc:float ->
   Mfb_schedule.Types.t ->
@@ -22,16 +18,21 @@ val templates :
     sink operation (window [\[finish, finish + tc))), ordered by window
     start. *)
 
-val route_all :
+val finalize :
   ?weight_update:bool ->
+  route_io:bool ->
   Rgrid.t ->
   tc:float ->
   Mfb_schedule.Types.t ->
-  Routed.task list * int
-(** [route_all grid ~tc sched] routes every template on [grid] —
-    conflict-aware with staging slack where possible; a dispense that is
-    boxed in during its window arrives late instead, carrying a positive
-    [delay] for the caller to retime; only when even that fails is the
-    run committed best-effort — and commits the occupations.  Returns the
-    routed tasks in order together with the number of best-effort
-    (possibly conflicting) commits. *)
+  Routed.task list ->
+  unresolved:int ->
+  Routed.result
+(** [finalize ~route_io grid ~tc sched rev_tasks ~unresolved] closes a
+    routing run: [rev_tasks] are the committed transports, newest
+    first.  With [route_io] every template is first routed on [grid]
+    after them — conflict-aware with staging slack where possible; a
+    dispense that is boxed in during its window arrives late instead,
+    carrying a positive [delay] for the caller to retime; only when even
+    that fails is the run committed best-effort, and each best-effort
+    (possibly conflicting) commit counts as unresolved.  Then
+    {!Routed.finalize}. *)

@@ -1,4 +1,3 @@
-module Types = Mfb_schedule.Types
 module Chip = Mfb_place.Chip
 
 (* Row-major comparison: y is the major axis, matching the (x, y)
@@ -38,8 +37,57 @@ type injection =
   | Channel of outcome
   | Component_fault of { component : int }
 
-let inject_channel ~we ~tc chip (sched : Types.t) (routing : Routed.result)
-    ~defect =
+type rerouted =
+  | In_window of Routed.task
+  | Delayed of Routed.task
+  | Unroutable
+
+let delay_budget = 16.
+
+(* Conflict-aware A* for a task of [kind] at postponement [delay] on the
+   defect-masked grid; commits and returns the task on success. *)
+let route_at ?field_cache grid ~tc ~is_defect kind tr ~delay =
+  let srcs, dsts = Routed.endpoints grid kind tr in
+  let usable xy =
+    (not (is_defect xy)) && Routed.usable grid tr ~delay ~src_ports:srcs xy
+  in
+  Option.map
+    (fun path -> Routed.commit_task grid ~tc kind tr ~path ~delay)
+    (Astar.search_multi ?field_cache grid ~srcs ~dsts ~usable
+       ~use_weights:true)
+
+let reroute grid ~tc ~is_defect kind tr ~delay =
+  let field_cache = Hashtbl.create 4 in
+  let route_at = route_at ~field_cache grid ~tc ~is_defect kind tr in
+  match route_at ~delay with
+  | Some t -> In_window t
+  | None ->
+    match
+      List.find_map
+        (fun d -> if d > delay then route_at ~delay:d else None)
+        Routed.delay_candidates
+    with
+    | Some t -> Delayed t
+    | None ->
+      (* Spatially avoid the defects, then postpone until the whole path
+         settles conflict-free — the router's own fallback, with the
+         defect mask added and the delay budget enforced. *)
+      let srcs, dsts = Routed.endpoints grid kind tr in
+      let usable xy = (not (Rgrid.blocked grid xy)) && not (is_defect xy) in
+      (match
+         Astar.search_multi ~field_cache grid ~srcs ~dsts ~usable
+           ~use_weights:false
+       with
+       | None -> Unroutable
+       | Some path ->
+         (match Routed.settle_delay grid tr ~src_ports:srcs path with
+          | Some d when d <= delay_budget ->
+            Delayed
+              (Routed.commit_task grid ~tc kind tr ~path
+                 ~delay:(Float.max d delay))
+          | Some _ | None -> Unroutable))
+
+let inject_channel ~we ~tc chip (routing : Routed.result) ~defect =
   let grid = Rgrid.create ~we chip in
   let healthy, affected =
     List.partition
@@ -49,32 +97,12 @@ let inject_channel ~we ~tc chip (sched : Types.t) (routing : Routed.result)
   (* Healthy tasks keep their paths; their occupations constrain the
      repair. *)
   List.iter (fun task -> Routed.commit grid ~tc task) healthy;
-  ignore sched;
   let repaired =
     List.filter
       (fun (task : Routed.task) ->
-        let tr = task.transport in
-        let srcs, dsts =
-          match task.kind with
-          | Routed.Transport ->
-            (Rgrid.ports grid tr.src, Rgrid.ports grid tr.dst)
-          | Routed.Dispense ->
-            (Io_router.border_cells grid, Rgrid.ports grid tr.dst)
-          | Routed.Waste ->
-            (Rgrid.ports grid tr.src, Io_router.border_cells grid)
-        in
-        let usable xy =
-          xy <> defect
-          && Routed.usable grid ~tc tr ~delay:task.delay
-               ~src_ports:(Rgrid.ports grid tr.src) xy
-        in
-        match
-          Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights:true
-        with
-        | Some path ->
-          Routed.commit grid ~tc { task with path };
-          true
-        | None -> false)
+        Option.is_some
+          (route_at grid ~tc ~is_defect:(( = ) defect) task.kind
+             task.transport ~delay:task.delay))
       affected
   in
   {
@@ -84,10 +112,10 @@ let inject_channel ~we ~tc chip (sched : Types.t) (routing : Routed.result)
     survived = List.length repaired = List.length affected;
   }
 
-let inject ~we ~tc chip (sched : Types.t) (routing : Routed.result) ~defect =
+let inject ~we ~tc chip (routing : Routed.result) ~defect =
   match owner chip defect with
   | Some component -> Component_fault { component }
-  | None -> Channel (inject_channel ~we ~tc chip sched routing ~defect)
+  | None -> Channel (inject_channel ~we ~tc chip routing ~defect)
 
 type yield_report = {
   cells_tested : int;
@@ -96,7 +124,7 @@ type yield_report = {
   worst : outcome option;
 }
 
-let single_defect_yield ~we ~tc chip sched (routing : Routed.result) =
+let single_defect_yield ~we ~tc chip (routing : Routed.result) =
   (* Used cells in the canonical row-major order, so [worst] is the
      first failing cell of a stable enumeration. *)
   let cells =
@@ -104,7 +132,7 @@ let single_defect_yield ~we ~tc chip sched (routing : Routed.result) =
   in
   let outcomes =
     List.map
-      (fun defect -> inject_channel ~we ~tc chip sched routing ~defect)
+      (fun defect -> inject_channel ~we ~tc chip routing ~defect)
       cells
   in
   let survived =

@@ -30,6 +30,34 @@ val owner : Mfb_place.Chip.t -> int * int -> int option
     (the lowest such id, though footprints never overlap on a legal
     chip), or [None] for a channel cell. *)
 
+(** {2 The re-route ladder} *)
+
+type rerouted =
+  | In_window of Routed.task  (** kept the original postponement *)
+  | Delayed of Routed.task    (** needed a bounded extra delay *)
+  | Unroutable
+
+val reroute :
+  Rgrid.t ->
+  tc:float ->
+  is_defect:(int * int -> bool) ->
+  Routed.kind ->
+  Mfb_schedule.Types.transport ->
+  delay:float ->
+  rerouted
+(** [reroute grid ~tc ~is_defect kind transport ~delay] routes one task
+    between its {!Routed.endpoints} on the (possibly defect-masked)
+    grid: first at its original postponement [delay], then up
+    {!Routed.delay_candidates} above [delay], finally along the shortest
+    obstacle-avoiding path settled conflict-free
+    ({!Routed.settle_delay}), accepted up to a 16 s delay budget so a
+    repair cannot degenerate into an arbitrarily late schedule.
+    Deterministic; commits the task onto [grid] on success.  This is the
+    ladder shared by [Mfb_repair.Plan] (rungs 1-2 of the repair) and
+    [Mfb_repair.Warm] (invalidated transports). *)
+
+(** {2 Defect injection} *)
+
 type outcome = {
   defect : int * int;
   affected : int;          (** tasks whose path crossed the defect *)
@@ -48,14 +76,13 @@ val inject :
   we:float ->
   tc:float ->
   Mfb_place.Chip.t ->
-  Mfb_schedule.Types.t ->
   Routed.result ->
   defect:int * int ->
   injection
-(** [inject ~we ~tc chip sched routing ~defect] rebuilds the design with
+(** [inject ~we ~tc chip routing ~defect] rebuilds the design with
     [defect] unusable and every healthy task's occupation re-committed,
-    then re-routes the affected tasks conflict-aware (original windows,
-    no extra delay allowed).  A defect on a component footprint returns
+    then re-routes the affected tasks with the in-window rung of
+    {!reroute} (original windows, no extra delay allowed).  A defect on a component footprint returns
     [Component_fault] instead of attempting any re-route. *)
 
 type yield_report = {
@@ -69,7 +96,6 @@ val single_defect_yield :
   we:float ->
   tc:float ->
   Mfb_place.Chip.t ->
-  Mfb_schedule.Types.t ->
   Routed.result ->
   yield_report
 (** Try every used channel cell as the defect, in row-major order (the

@@ -349,6 +349,14 @@ let wash_debt g xy ~at fluid =
     wash_between cell.sorted.(!lo) fluid
   end
 
+let border_cells g =
+  let w = g.grid_width and h = g.grid_height in
+  let top = List.init w (fun x -> (x, 0)) in
+  let bottom = List.init w (fun x -> (x, h - 1)) in
+  let left = List.init h (fun y -> (0, y)) in
+  let right = List.init h (fun y -> (w - 1, y)) in
+  List.filter (fun xy -> not (blocked g xy)) (top @ bottom @ left @ right)
+
 let neighbours g (x, y) =
   List.filter (in_bounds g) [ (x - 1, y); (x + 1, y); (x, y - 1); (x, y + 1) ]
 

@@ -82,6 +82,10 @@ val wash_debt_ref :
 (** Reference implementation of {!wash_debt} (linear fold);
     differential-testing oracle. *)
 
+val border_cells : t -> (int * int) list
+(** Unblocked cells on the chip edge — the reservoir and outlet
+    attachment points of inlet dispensing, waste runs and wash flushes. *)
+
 val neighbours : t -> int * int -> (int * int) list
 (** In-bounds 4-neighbourhood. *)
 

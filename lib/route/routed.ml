@@ -49,6 +49,21 @@ let occupancy ~tc task =
       indexed
   end
 
+let commit_order (sched : Types.t) =
+  List.sort
+    (fun (a : Types.transport) b ->
+      let c = Float.compare a.removal b.removal in
+      if c <> 0 then c else Float.compare a.depart b.depart)
+    sched.transports
+
+let endpoints grid kind (tr : Types.transport) =
+  match kind with
+  | Transport -> (Rgrid.ports grid tr.src, Rgrid.ports grid tr.dst)
+  | Dispense -> (Rgrid.border_cells grid, Rgrid.ports grid tr.dst)
+  | Waste -> (Rgrid.ports grid tr.src, Rgrid.border_cells grid)
+
+let delay_candidates = [ 0.; 0.5; 1.0; 1.5; 2.0; 3.0; 4.0; 6.0; 8.0 ]
+
 let measure_wash grid ~tc task =
   List.fold_left
     (fun (worst, count) (xy, iv) ->
@@ -69,34 +84,39 @@ let commit ?(weight_update = true) grid ~tc task =
     List.iter (fun xy -> Rgrid.set_weight grid xy residue_wash) task.path
   end
 
-let windows ~tc (tr : Types.transport) ~delay ~near_src =
-  ignore tc;
+let commit_task ?weight_update grid ~tc kind transport ~path ~delay =
+  let task =
+    { transport; kind; path; delay; pre_wash = 0.; washed_cells = 0 }
+  in
+  let pre_wash, washed_cells = measure_wash grid ~tc task in
+  let task = { task with pre_wash; washed_cells } in
+  commit ?weight_update grid ~tc task;
+  task
+
+let window (tr : Types.transport) ~delay ~near_src =
   let removal = tr.removal +. delay in
   let depart = tr.depart +. delay in
   let arrive = tr.arrive +. delay in
   (* Only the port and parking cells — both within distance 1 of a source
      port — hold the fluid during the cache; every cell further out sees
      just the final sweep (matching {!occupancy}). *)
-  if near_src || depart -. removal <= 1e-9 then
-    [ Interval.make removal arrive ]
-  else [ Interval.make depart arrive ]
+  if near_src || depart -. removal <= 1e-9 then Interval.make removal arrive
+  else Interval.make depart arrive
 
 let near_any ports (x1, y1) =
   List.exists (fun (x2, y2) -> abs (x1 - x2) + abs (y1 - y2) <= 1) ports
 
-let usable grid ~tc tr ~delay ~src_ports xy =
-  List.for_all
-    (fun iv -> Rgrid.conflict_free grid xy iv tr.Types.fluid)
-    (windows ~tc tr ~delay ~near_src:(near_any src_ports xy))
+let usable grid tr ~delay ~src_ports xy =
+  Rgrid.conflict_free grid xy
+    (window tr ~delay ~near_src:(near_any src_ports xy))
+    tr.Types.fluid
 
-let settle_delay grid ~tc (tr : Types.transport) ~src_ports path =
+let settle_delay grid (tr : Types.transport) ~src_ports path =
   let fuel = (8 * List.length path) + 8 in
   let cell_delay delay xy =
-    List.fold_left
-      (fun acc iv ->
-        Float.max acc (Rgrid.required_delay grid xy iv tr.fluid))
-      0.
-      (windows ~tc tr ~delay ~near_src:(near_any src_ports xy))
+    Rgrid.required_delay grid xy
+      (window tr ~delay ~near_src:(near_any src_ports xy))
+      tr.fluid
   in
   let rec loop delay fuel =
     if fuel = 0 then None

@@ -1,4 +1,6 @@
-(** Shared result types and commit helpers for the two routing flows. *)
+(** The routing kernel: task and result types plus the steps every
+    router, repair and warm start shares — commit order, endpoints,
+    the postponement ladder, cell usability and the task-commit step. *)
 
 val pitch_mm : float
 (** Physical length of one grid-cell channel segment (10 mm). *)
@@ -39,29 +41,55 @@ val occupancy :
     fluid is pushed just outside its producing component), so downstream
     cells are only held for the final [tc]-long sweep. *)
 
-val measure_wash : Rgrid.t -> tc:float -> task -> float * int
-(** [(pre_wash, washed_cells)] of a task against the current grid state;
-    call before {!commit}. *)
+val commit_order : Mfb_schedule.Types.t -> Mfb_schedule.Types.transport list
+(** The schedule's transports in the order every router, repair and warm
+    start commits them: by removal time, then by departure (Alg. 2,
+    line 9).  A replay in this order reproduces the grid evolution — and
+    therefore the wash measures — of the routing that produced it. *)
+
+val endpoints :
+  Rgrid.t ->
+  kind ->
+  Mfb_schedule.Types.transport ->
+  (int * int) list * (int * int) list
+(** [(srcs, dsts)] of a task: the component ports for a [Transport];
+    {!Rgrid.border_cells} then the component's ports for a [Dispense];
+    the component's ports then the border for a [Waste].  The source
+    side is also the [src_ports] of {!usable} and {!settle_delay}; for a
+    [Dispense] that counts every border cell as near the source, which
+    is conservative against {!occupancy}. *)
+
+val delay_candidates : float list
+(** The postponement ladder, in seconds, from [0.] up: the router picks
+    the cheapest rung, the repair ladder the first that routes. *)
 
 val commit : ?weight_update:bool -> Rgrid.t -> tc:float -> task -> unit
 (** Record the task's occupations; with [weight_update] (default true)
     every path cell's weight becomes the wash time of the residue the
     task leaves (paper §IV-B2). *)
 
-val windows :
+val commit_task :
+  ?weight_update:bool ->
+  Rgrid.t ->
   tc:float ->
+  kind ->
   Mfb_schedule.Types.transport ->
+  path:(int * int) list ->
   delay:float ->
-  near_src:bool ->
-  Mfb_util.Interval.t list
-(** Occupation windows a cell must be free for, matching {!occupancy}:
+  task
+(** The one task-commit step: build the task, measure its [pre_wash]
+    and [washed_cells] against the grid as it stands, then {!commit} it.
+    Returns the committed task. *)
+
+val window :
+  Mfb_schedule.Types.transport -> delay:float -> near_src:bool -> Mfb_util.Interval.t
+(** Occupation window a cell must be free for, matching {!occupancy}:
     cells near the source port may hold the cached fluid for the whole
-    (shifted) transport window; downstream cells only see the initial
-    eviction sweep and the final arrival sweep. *)
+    (shifted) transport window; downstream cells only see the final
+    arrival sweep. *)
 
 val usable :
   Rgrid.t ->
-  tc:float ->
   Mfb_schedule.Types.transport ->
   delay:float ->
   src_ports:(int * int) list ->
@@ -73,13 +101,12 @@ val usable :
 
 val settle_delay :
   Rgrid.t ->
-  tc:float ->
   Mfb_schedule.Types.transport ->
   src_ports:(int * int) list ->
   (int * int) list ->
   float option
 (** Smallest postponement making the whole path conflict-free on every
-    cell under the {!windows} semantics, or [None] when no fixed point is
+    cell under the {!window} semantics, or [None] when no fixed point is
     found within the iteration budget. *)
 
 val finalize : Rgrid.t -> task list -> unresolved:int -> result

@@ -2,13 +2,6 @@ module Interval = Mfb_util.Interval
 module Telemetry = Mfb_util.Telemetry
 module Types = Mfb_schedule.Types
 
-let sorted_transports (sched : Types.t) =
-  List.sort
-    (fun (a : Types.transport) b ->
-      let c = Float.compare a.removal b.removal in
-      if c <> 0 then c else Float.compare a.depart b.depart)
-    sched.transports
-
 (* Exchange rate between postponing a transport and lengthening its
    channel: one second of delay costs as much as one fresh routing cell
    (whose weighted cost is [1 + w_e]).  A short wait on an existing
@@ -16,19 +9,17 @@ let sorted_transports (sched : Types.t) =
    proposed flow keeps both execution time and channel length low. *)
 let delay_cost_per_second = 8.
 
-let delay_candidates = [ 0.; 0.5; 1.0; 1.5; 2.0; 3.0; 4.0; 6.0; 8.0 ]
-
 (* Route one transport with the conflict-aware weighted A*, choosing the
    cheapest (path cost + delay penalty) over a few postponement
    candidates. *)
 let route_task ~weight_update grid ~tc (tr : Types.transport) =
-  let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
+  let srcs, dsts = Routed.endpoints grid Routed.Transport tr in
   let effort = Astar.stats () in
   (* All delay candidates aim at the same destination ports, so they
      share one heuristic-field build per distinct usable-set. *)
   let field_cache = Hashtbl.create 4 in
   let attempt delay =
-    let usable xy = Routed.usable grid ~tc tr ~delay ~src_ports:srcs xy in
+    let usable xy = Routed.usable grid tr ~delay ~src_ports:srcs xy in
     Astar.search_multi ~stats:effort ~field_cache grid ~srcs ~dsts ~usable
       ~use_weights:weight_update
   in
@@ -46,16 +37,13 @@ let route_task ~weight_update grid ~tc (tr : Types.transport) =
           (match best with
            | Some (_, _, s') when s' <= s -> best
            | Some _ | None -> Some (path, delay, s)))
-      None delay_candidates
+      None Routed.delay_candidates
   in
   let finish path delay unresolved =
     let task =
-      { Routed.transport = tr; kind = Routed.Transport; path; delay;
-        pre_wash = 0.; washed_cells = 0 }
+      Routed.commit_task ~weight_update grid ~tc Routed.Transport tr ~path
+        ~delay
     in
-    let pre_wash, washed_cells = Routed.measure_wash grid ~tc task in
-    let task = { task with pre_wash; washed_cells } in
-    Routed.commit ~weight_update grid ~tc task;
     Telemetry.sample ~cat:"route" "astar.task_pops"
       (float_of_int effort.pops);
     if delay > 0. then Telemetry.observe ~cat:"route" "task.delay" delay;
@@ -78,7 +66,7 @@ let route_task ~weight_update grid ~tc (tr : Types.transport) =
       | Some p -> p
       | None -> [ List.hd srcs; List.hd dsts ] (* degenerate fallback *)
     in
-    (match Routed.settle_delay grid ~tc tr ~src_ports:srcs path with
+    (match Routed.settle_delay grid tr ~src_ports:srcs path with
      | Some delay -> finish path delay false
      | None ->
        Telemetry.incr ~cat:"route" "unresolved";
@@ -101,11 +89,6 @@ let route ?(weight_update = true) ?(route_io = false) ~we ~tc chip
             (fun () -> route_task ~weight_update grid ~tc tr)
         in
         (task :: tasks, if failed then unresolved + 1 else unresolved))
-      ([], 0) (sorted_transports sched)
+      ([], 0) (Routed.commit_order sched)
   in
-  let io, io_unresolved =
-    if route_io then Io_router.route_all ~weight_update grid ~tc sched
-    else ([], 0)
-  in
-  Routed.finalize grid (List.rev_append io tasks)
-    ~unresolved:(unresolved + io_unresolved)
+  Io_router.finalize ~weight_update ~route_io grid ~tc sched tasks ~unresolved

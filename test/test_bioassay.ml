@@ -51,7 +51,12 @@ let test_wash_override () =
   Alcotest.check_raises "invalid override"
     (Invalid_argument
        "Fluid.with_wash_time: wash time must be positive and finite")
-    (fun () -> ignore (Fluid.with_wash_time f 0.))
+    (fun () -> ignore (Fluid.with_wash_time f 0.));
+  Alcotest.check_raises "override above the ceiling"
+    (Invalid_argument "Fluid.with_wash_time: wash time must be <= 1e+06 s")
+    (fun () -> ignore (Fluid.with_wash_time f 1e308));
+  Alcotest.(check (float 0.)) "ceiling accepted" Fluid.max_time
+    (Fluid.wash_time (Fluid.with_wash_time f Fluid.max_time))
 
 let test_palette_distinct () =
   let names =
@@ -91,7 +96,11 @@ let test_operation_invalid () =
       ignore (Operation.make ~id:(-1) ~kind:Mix ~duration:1. ~output));
   Alcotest.check_raises "zero duration"
     (Invalid_argument "Operation.make: duration must be positive") (fun () ->
-      ignore (Operation.make ~id:0 ~kind:Mix ~duration:0. ~output))
+      ignore (Operation.make ~id:0 ~kind:Mix ~duration:0. ~output));
+  Alcotest.check_raises "duration above the ceiling"
+    (Invalid_argument "Operation.make: duration must be <= 1e+06 s")
+    (fun () ->
+      ignore (Operation.make ~id:0 ~kind:Mix ~duration:1e308 ~output))
 
 let test_kind_index_roundtrip () =
   Array.iter

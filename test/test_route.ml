@@ -355,13 +355,13 @@ let test_settle_delay_resolves () =
   Rgrid.add_occupation grid (7, 6)
     { Rgrid.interval = Interval.make 0. 10.; fluid = hard };
   let tr = transport 1. 1. 3. in
-  match Routed.settle_delay grid ~tc tr ~src_ports:[ (6, 6) ] path with
+  match Routed.settle_delay grid tr ~src_ports:[ (6, 6) ] path with
   | Some d ->
     Alcotest.(check bool) "positive" true (d > 0.);
     List.iter
       (fun xy ->
         Alcotest.(check bool) "free after delay" true
-          (Routed.usable grid ~tc tr ~delay:d ~src_ports:[ (6, 6) ] xy))
+          (Routed.usable grid tr ~delay:d ~src_ports:[ (6, 6) ] xy))
       path
   | None -> Alcotest.fail "expected a finite settle delay"
 
@@ -562,7 +562,7 @@ let channel_outcome = function
     Alcotest.fail "expected a channel defect, got a component fault"
 
 let test_repair_unused_cell_is_free () =
-  let sched, chip, result = routed_instance 0 in
+  let _, chip, result = routed_instance 0 in
   let grid = result.grid in
   let used = Mfb_route.Rgrid.used_cells grid in
   let free =
@@ -579,7 +579,7 @@ let test_repair_unused_cell_is_free () =
   in
   let outcome =
     channel_outcome
-      (Mfb_route.Repair.inject ~we ~tc chip sched result ~defect:free)
+      (Mfb_route.Repair.inject ~we ~tc chip result ~defect:free)
   in
   Alcotest.(check int) "nothing affected" 0 outcome.affected;
   Alcotest.(check bool) "survives" true outcome.survived
@@ -588,10 +588,10 @@ let test_repair_component_cell_is_component_fault () =
   (* A defect on a component footprint is valid field data — a dead
      component, not a channel fault — and must come back as a structured
      [Component_fault] naming the owner, never as an exception. *)
-  let sched, chip, result = routed_instance 0 in
+  let _, chip, result = routed_instance 0 in
   let blocked_cell = List.hd (Chip.blocked_cells chip) in
   (match
-     Mfb_route.Repair.inject ~we ~tc chip sched result ~defect:blocked_cell
+     Mfb_route.Repair.inject ~we ~tc chip result ~defect:blocked_cell
    with
    | Mfb_route.Repair.Component_fault { component } ->
      (match Mfb_route.Repair.owner chip blocked_cell with
@@ -631,14 +631,14 @@ let test_repair_last_task_path_defect () =
      that task as affected: repair sees every committed path, including
      the final one (an off-by-one here would silently pass defects
      through the tail of the routing order). *)
-  let sched, chip, result = routed_instance 0 in
+  let _, chip, result = routed_instance 0 in
   (match List.rev result.tasks with
    | [] -> Alcotest.fail "instance routed no tasks"
    | (last : Routed.task) :: _ ->
      let defect = List.nth last.path (List.length last.path / 2) in
      let outcome =
        channel_outcome
-         (Mfb_route.Repair.inject ~we ~tc chip sched result ~defect)
+         (Mfb_route.Repair.inject ~we ~tc chip result ~defect)
      in
      Alcotest.(check bool) "defect recorded" true (outcome.defect = defect);
      Alcotest.(check bool) "last task is affected" true
@@ -649,7 +649,7 @@ let test_repair_last_task_path_defect () =
 let test_repair_unoccupied_cell_is_noop () =
   (* A defect on a routable cell no occupation ever touches is a pure
      no-op: nothing affected, nothing repaired, design survives. *)
-  let sched, chip, result = routed_instance 0 in
+  let _, chip, result = routed_instance 0 in
   let grid = result.grid in
   let used = Mfb_route.Rgrid.used_cells grid in
   let on_some_path (x, y) =
@@ -672,7 +672,7 @@ let test_repair_unoccupied_cell_is_noop () =
   in
   let outcome =
     channel_outcome
-      (Mfb_route.Repair.inject ~we ~tc chip sched result ~defect:free)
+      (Mfb_route.Repair.inject ~we ~tc chip result ~defect:free)
   in
   Alcotest.(check int) "affected" 0 outcome.affected;
   Alcotest.(check int) "repaired" 0 outcome.repaired;
@@ -681,9 +681,9 @@ let test_repair_unoccupied_cell_is_noop () =
 let test_repair_yield_bounds () =
   List.iter
     (fun index ->
-      let sched, chip, result = routed_instance index in
+      let _, chip, result = routed_instance index in
       let y =
-        Mfb_route.Repair.single_defect_yield ~we ~tc chip sched result
+        Mfb_route.Repair.single_defect_yield ~we ~tc chip result
       in
       Alcotest.(check bool) "yield in [0,1]" true
         (0. <= y.yield && y.yield <= 1.);
@@ -697,6 +697,27 @@ let test_repair_yield_bounds () =
        | None ->
          Alcotest.(check int) "perfect yield" y.cells_tested y.survived))
     [ 0; 1 ]
+
+let test_repair_yield_pinned () =
+  (* The single-defect sweep over the default-config Table I designs,
+     pinned cell for cell: any change to the shared re-route kernel that
+     moves which defects a design survives shows up here. *)
+  List.iter
+    (fun (name, tested, survived, worst) ->
+      let inst = Option.get (Mfb_core.Suite.find name) in
+      let cfg = Mfb_core.Config.default in
+      let r = Mfb_core.Flow.run ~config:cfg inst.graph inst.allocation in
+      let y =
+        Mfb_route.Repair.single_defect_yield ~we:cfg.we ~tc:cfg.tc r.chip
+          r.routing
+      in
+      Alcotest.(check int) (name ^ ": cells tested") tested y.cells_tested;
+      Alcotest.(check int) (name ^ ": survived") survived y.survived;
+      Alcotest.(check (option (pair int int)))
+        (name ^ ": worst defect") worst
+        (Option.map (fun (o : Mfb_route.Repair.outcome) -> o.defect) y.worst))
+    [ ("PCR", 7, 7, None); ("IVD", 6, 6, None);
+      ("CPA", 52, 50, Some (16, 7)) ]
 
 (* --- Determinism of the full routing stage --- *)
 
@@ -972,6 +993,8 @@ let suites =
         Alcotest.test_case "unoccupied cell is a no-op" `Quick
           test_repair_unoccupied_cell_is_noop;
         Alcotest.test_case "yield bounds" `Quick test_repair_yield_bounds;
+        Alcotest.test_case "yield pinned on PCR, IVD and CPA" `Quick
+          test_repair_yield_pinned;
       ] );
     ( "route.negotiated",
       [

@@ -512,9 +512,24 @@ let test_server_bounds_numeric_input () =
   let path = Filename.temp_file "bounds" ".jsonl" in
   let oc = open_out path in
   let s = server ~access_log:oc () in
+  let assay lines =
+    "\"assay\":" ^ Json.to_string (Json.String (String.concat "\n" lines))
+  in
+  (* (id, request fields, what the rejection reason must name) *)
   let bad =
-    [ ("bad", {|"tc":1e308|}); ("inf", {|"tc":1e999|});
-      ("work", {|"sa_restarts":100000000|}) ]
+    [ ("bad", {|"benchmark":"IVD","tc":1e308|}, "Config");
+      ("inf", {|"benchmark":"IVD","tc":1e999|}, "Config");
+      ("work", {|"benchmark":"IVD","sa_restarts":100000000|}, "Config");
+      ( "long",
+        assay
+          [ {|assay "long"|}; "fluid a 1e-06"; "fluid b 1e-06";
+            "op 0 mix 1e308 a"; "op 1 mix 1e308 b" ],
+        "line 4: Operation.make" );
+      ( "wash",
+        assay
+          [ {|assay "wash"|}; "fluid a 1e-08 1e308"; "fluid b 1e-06";
+            "op 0 mix 5 a"; "op 1 mix 5 b"; "edge 0 1" ],
+        "line 2: Fluid.with_wash_time" ) ]
   in
   let answer line =
     match Server.handle_line s line with
@@ -528,16 +543,14 @@ let test_server_bounds_numeric_input () =
    | P.Submitted _ -> ()
    | r -> Alcotest.failf "ok1: %s" (P.response_to_line r));
   List.iter
-    (fun (id, field) ->
+    (fun (id, fields, why) ->
       match
-        answer
-          (Printf.sprintf {|{"op":"submit","id":"%s","benchmark":"IVD",%s}|}
-             id field)
+        answer (Printf.sprintf {|{"op":"submit","id":"%s",%s}|} id fields)
       with
       | P.Rejected { op = "submit"; id = rid; reason } ->
         Alcotest.(check string) "rejected id" id rid;
         Alcotest.(check bool) (id ^ ": reason given") true
-          (contains ~sub:"Config" reason)
+          (contains ~sub:why reason)
       | r -> Alcotest.failf "%s accepted: %s" id (P.response_to_line r))
     bad;
   (match answer {|{"op":"result","id":"ok1"}|} with
@@ -548,8 +561,8 @@ let test_server_bounds_numeric_input () =
   let log = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
   let records = String.split_on_char '\n' (String.trim log) in
-  Alcotest.(check int) "one access record per submission" 4
-    (List.length records);
+  Alcotest.(check int) "one access record per submission"
+    (1 + List.length bad) (List.length records);
   List.iter
     (fun id ->
       Alcotest.(check int)
@@ -558,9 +571,9 @@ let test_server_bounds_numeric_input () =
         (List.length
            (List.filter (contains ~sub:(Printf.sprintf {|"id":"%s"|} id))
               records)))
-    ("ok1" :: List.map fst bad);
+    ("ok1" :: List.map (fun (id, _, _) -> id) bad);
   Alcotest.(check bool) "rejections counted" true
-    (Json.member "rejected" stats = Some (Json.Int 3));
+    (Json.member "rejected" stats = Some (Json.Int (List.length bad)));
   Alcotest.(check bool) "ok1 computed" true
     (Json.member "computed" stats = Some (Json.Int 1))
 
